@@ -4,13 +4,13 @@ Simulates a particle in a Mach-Zehnder interferometer that receives a
 momentum kick +delta in one arm only, and shows that post-selection on one
 exit port can leave the particle with a *negative* average momentum.
 
-Subpackages:
+Modules:
     wavepacket     momentum-space states on a uniform grid
-    interferometer the two-path pipeline and post-selection statistics
+    interferometer the two-mode state, its primitives, the interferometer pipeline
     analytic       closed-form Gaussian port statistics (the oracle)
     splitstep      split-step Schrodinger propagation of the kick
     feasibility    SI-unit electron-beam estimates
-    spinor         internal-state (cold-atom) protocol
+    spinor         cold-atom pulse sequence over the same two-mode state
     circuitfile    the .qif experiment-description language
     cli            command-line interface
 """

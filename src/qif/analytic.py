@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-#: Matches interferometer.DARK_PORT_THRESHOLD.
-DARK_THRESHOLD = 1e-15
+from .errors import ParameterError
+from .wavepacket import DARK_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class MziParams:
 
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.t}")
+            raise ParameterError(f"transmission must lie in [0, 1], got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def find_min_mean_c(t_range, delta_range, resolution: int):
     t_lo, t_hi = t_range
     d_lo, d_hi = delta_range
     if not (t_hi > t_lo and d_hi > d_lo) or resolution < 2:
-        raise ValueError("ranges must be nonempty with resolution >= 2")
+        raise ParameterError("ranges must be nonempty with resolution >= 2")
     ts = np.linspace(t_lo, t_hi, resolution)
     ds = np.linspace(d_lo, d_hi, resolution)
     tt, dd = np.meshgrid(ts, ds, indexing="ij")

@@ -24,8 +24,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import interferometer as mzi
 from . import wavepacket as wp
 from .errors import CircuitRuntimeError, QifError
@@ -223,9 +221,6 @@ def execute(program: CircuitProgram, grid: Optional[wp.GridSpec] = None) -> Exec
     bs_t = None
     kick_total = {"A": 0.0, "B": 0.0}
 
-    def fail(ins, exc):
-        raise CircuitRuntimeError(f"{ins.name}: {exc}", ins.line) from exc
-
     for ins in program.instructions:
         try:
             if ins.name == "source":
@@ -240,20 +235,9 @@ def execute(program: CircuitProgram, grid: Optional[wp.GridSpec] = None) -> Exec
             elif ins.name == "kick":
                 path, delta = ins.args["path"], ins.args["delta"]
                 kick_total[path] += delta
-                a, b = state.path_a, state.path_b
-                if path == "A":
-                    a = wp.shift(a, delta)
-                else:
-                    b = wp.shift(b, delta)
-                state = mzi.TwoPathState(a, b)
+                state = mzi.kick(state, path, delta)
             elif ins.name == "phase":
-                factor = np.exp(1j * ins.args["alpha"])
-                a, b = state.path_a, state.path_b
-                if ins.args["path"] == "A":
-                    a = wp.MomentumWavefunction(grid, factor * a.amplitudes)
-                else:
-                    b = wp.MomentumWavefunction(grid, factor * b.amplitudes)
-                state = mzi.TwoPathState(a, b)
+                state = mzi.phase(state, ins.args["path"], ins.args["alpha"])
             elif ins.name == "recombine":
                 raw_c, raw_d = mzi.recombine(state)
                 result.outcome_c = mzi.port_stats(raw_c, "C")
@@ -263,10 +247,8 @@ def execute(program: CircuitProgram, grid: Optional[wp.GridSpec] = None) -> Exec
                                    else result.outcome_d)
             elif ins.name == "report":
                 _run_report(ins, result, bs_t, kick_total, source_mean)
-        except CircuitRuntimeError:
-            raise
         except QifError as exc:
-            fail(ins, exc)
+            raise CircuitRuntimeError(f"{ins.name}: {exc}", ins.line) from exc
     return result
 
 

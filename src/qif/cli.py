@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, circuitfile, feasibility, interferometer as mzi
 from . import spinor, splitstep, wavepacket as wp
-from .errors import QifError
+from .errors import ParameterError, QifError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -30,7 +30,13 @@ CSV_HEADER = "t,delta,alpha,p_c,mean_c,p_d,mean_d,residual"
 
 
 def _grid(args) -> wp.GridSpec:
-    n = getattr(args, "grid_n", None) or int(os.environ.get("QIF_GRID_N", wp.DEFAULT_N))
+    n = args.grid_n
+    if n is None:
+        raw = os.environ.get("QIF_GRID_N", str(wp.DEFAULT_N))
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ParameterError(f"QIF_GRID_N must be an integer, got {raw!r}") from None
     return wp.default_grid(n)
 
 
@@ -39,22 +45,10 @@ def _fmt(x: float) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        program = circuitfile.parse(text)
-    except circuitfile.ParseError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = circuitfile.execute(program, _grid(args))
-    except QifError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with open(args.file, encoding="utf-8") as fh:
+        text = fh.read()
+    program = circuitfile.parse(text)
+    result = circuitfile.execute(program, _grid(args))
     if result.report:
         print(result.report)
     return EXIT_OK
@@ -62,17 +56,18 @@ def cmd_simulate(args) -> int:
 
 def _grid_backend_stats(t, delta, alpha, grid):
     gauss = wp.gaussian_init(wp.GaussianParams(), grid)
-    out_c, out_d = mzi.run_mzi(gauss, t, delta, mzi.PhaseSetting(beta=alpha))
+    out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
     residual = mzi.conservation_residual(out_c, out_d, t, delta, 0.0)
     mean = lambda o: np.nan if o.is_dark else o.mean_p
     return out_c.probability, mean(out_c), out_d.probability, mean(out_d), residual
 
 
 def _sweep_rows(args, grid):
+    # step counts arrive as floats: refuse nan and inf before int() sees them
+    if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):
+        raise ParameterError("sweep needs at least 2 steps per axis")
     ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
     ds = np.linspace(args.delta[0], args.delta[1], int(args.delta[2]))
-    if len(ts) < 2 or len(ds) < 2:
-        raise ValueError("sweep needs at least 2 steps per axis")
     for t in ts:
         for d in ds:
             if args.backend == "oracle":
@@ -88,9 +83,9 @@ def _sweep_rows(args, grid):
                 p_c, m_c, p_d, m_d, residual = _grid_backend_stats(t, d, args.alpha, grid)
                 tol = 1e-8
             if abs(p_c + p_d - 1.0) > 1e-9:
-                raise RuntimeError(f"unitarity violated at t={t}, delta={d}")
+                raise QifError(f"unitarity violated at t={t}, delta={d}")
             if residual > tol:
-                raise RuntimeError(f"conservation violated at t={t}, delta={d}")
+                raise QifError(f"conservation violated at t={t}, delta={d}")
             yield t, d, args.alpha, p_c, m_c, p_d, m_d, residual
 
 
@@ -98,20 +93,13 @@ def cmd_sweep(args) -> int:
     grid = _grid(args)
     min_mean = np.inf
     argmin = (np.nan, np.nan)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in _sweep_rows(args, grid):
-                t, d, _, _, m_c, _, _, _ = row
-                if m_c is not None and not np.isnan(m_c) and m_c < min_mean:
-                    min_mean, argmin = m_c, (t, d)
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (QifError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for row in _sweep_rows(args, grid):
+            t, d, _, _, m_c, _, _, _ = row
+            if m_c is not None and not np.isnan(m_c) and m_c < min_mean:
+                min_mean, argmin = m_c, (t, d)
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
     print(f"wrote {args.out}")
     print(f"min mean_C = {_fmt(min_mean)} at t = {_fmt(argmin[0])}, "
           f"delta = {_fmt(argmin[1])}")
@@ -119,6 +107,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.samples < 0:
+        raise ParameterError(f"--samples must be non-negative, got {args.samples}")
     if args.samples == 0:
         print("0 samples: nothing to check")
         return EXIT_OK
@@ -132,7 +122,7 @@ def cmd_oracle_check(args) -> int:
         d = rng.uniform(0.0, 2.0)
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         s = analytic.closed_form_stats(analytic.MziParams(t, d, alpha))
-        out_c, out_d = mzi.run_mzi(gauss, t, d, mzi.PhaseSetting(beta=alpha))
+        out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
         devs = [abs(s.p_c - out_c.probability), abs(s.p_d - out_d.probability)]
         if s.mean_c is not None and not out_c.is_dark:
             devs.append(abs(s.mean_c - out_c.mean_p))
@@ -152,11 +142,7 @@ def cmd_propagate(args) -> int:
     pulse = splitstep.ImpulsePulse(args.force, args.tau, args.substeps)
     config = splitstep.PropagationConfig(mass=args.mass)
     before = wp.to_position(wp.gaussian_init(wp.GaussianParams(), grid))
-    try:
-        after = splitstep.apply_impulse(before, pulse, config)
-    except QifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    after = splitstep.apply_impulse(before, pulse, config)
     fidelity = splitstep.kick_fidelity(before, after, pulse.delta)
     shift_measured = wp.mean_momentum(wp.to_momentum(after)) - wp.mean_momentum(
         wp.to_momentum(before)
@@ -178,11 +164,7 @@ def cmd_feasibility(args) -> int:
         plate_length_m=args.plate_len_cm * 1e-2,
         voltage_v=args.voltage_mv * 1e-3,
     )
-    try:
-        report = feasibility.electron_report(scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = feasibility.electron_report(scenario)
     print(f"electron speed           = {report.speed:.6g} m/s")
     print(f"electron momentum        = {report.momentum:.6g} kg m/s")
     print(f"time of flight           = {report.time_of_flight:.6g} s")
@@ -198,11 +180,7 @@ def cmd_feasibility(args) -> int:
 
 def cmd_bec(args) -> int:
     grid = _grid(args)
-    try:
-        outcome = spinor.run_protocol(args.t, args.delta_a, args.delta_b, grid)
-    except QifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    outcome = spinor.run_protocol(args.t, args.delta_a, args.delta_b, grid)
     delta = args.delta_b - args.delta_a
     print(f"t = {args.t}, delta_a = {args.delta_a}, delta_b = {args.delta_b} "
           f"(effective delta = {delta:.12g})")
@@ -275,7 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # errors in a circuit are reported against its file name
+    prefix = getattr(args, "file", "error")
+    try:
+        return args.func(args)
+    except QifError as exc:
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, circuitfile.ParseError) else EXIT_RUNTIME
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

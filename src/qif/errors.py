@@ -5,6 +5,10 @@ class QifError(Exception):
     """Base class for all qif errors."""
 
 
+class ParameterError(QifError, ValueError):
+    """A parameter lies outside the range where it has a meaning."""
+
+
 class GridTooNarrowError(QifError, ValueError):
     """Momentum grid does not cover enough of the requested wavepacket."""
 

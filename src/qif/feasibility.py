@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import MziParams
+from .errors import ParameterError
+
 # CODATA 2018 values.
 HBAR = 1.054571817e-34       # J s
 ELECTRON_MASS = 9.109383702e-31   # kg
@@ -31,8 +34,8 @@ PATH_SEPARATION_DISTANCE_M = 0.35
 RELATIVISTIC_FRACTION = 0.1
 
 
-class RelativisticRegimeError(ValueError):
-    pass
+class RelativisticRegimeError(ParameterError):
+    """Kinetic energy too high for the non-relativistic treatment."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ class ElectronScenario:
         for name in ("kinetic_energy_ev", "slit_width_m", "drift_distance_m",
                      "plate_separation_m", "plate_length_m"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise ParameterError(f"{name} must be positive")
         if self.voltage_v < 0:
-            raise ValueError("voltage_v must be non-negative")
+            raise ParameterError("voltage_v must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,4 @@ def electron_report(scenario: ElectronScenario = ElectronScenario()) -> Feasibil
 
 def ratio_to_mzi_params(report: FeasibilityReport, t: float, alpha: float = 0.0):
     """Feed the dimensionless kick ratio into the interferometer model."""
-    from .analytic import MziParams
-
     return MziParams(t=t, delta_over_w=report.ratio, alpha=alpha)

@@ -1,25 +1,28 @@
-"""Two-path Mach-Zehnder pipeline with post-selection statistics.
+"""The two-mode state, its primitive operations, and the Mach-Zehnder pipeline.
+
+A two-mode state holds one momentum wavefunction per mode.  The modes are
+the arms A and B of a spatial interferometer, or the internal states |A>
+and |B> of an atom (see spinor).  Every pipeline is built from the same
+per-mode primitives, kick, phase and select, plus a mixer for each kind of
+beam splitter.
 
 Conventions: the first beam splitter has real transmission t and reflection
 i*r with r = sqrt(1 - t^2); the second beam splitter is fixed balanced with
-coefficients 1/sqrt(2) (transmission) and i/sqrt(2) (reflection).  Only the
-total arm phase alpha = beta + gamma enters the dynamics; an unobservable
-global phase on port D is dropped.
+coefficients 1/sqrt(2) (transmission) and i/sqrt(2) (reflection).  An
+unobservable global phase on port D is dropped.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import wavepacket as wp
-from .errors import GridMismatchError
-from .wavepacket import MomentumWavefunction
-
-#: Ports with probability below this report an undefined mean instead of 0/0.
-DARK_PORT_THRESHOLD = 1e-15
+from .errors import GridMismatchError, ParameterError
+from .wavepacket import DARK_THRESHOLD, MomentumWavefunction
 
 _SQRT2 = np.sqrt(2.0)
+_MODE_FIELDS = {"A": "path_a", "B": "path_b"}
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,7 @@ class BeamSplitterCoeffs:
 
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.t}")
+            raise ParameterError(f"transmission must lie in [0, 1], got {self.t}")
 
     @property
     def r(self) -> float:
@@ -38,27 +41,18 @@ class BeamSplitterCoeffs:
 
 
 @dataclass(frozen=True)
-class PhaseSetting:
-    """Propagation phase beta and kick phase gamma; only their sum acts."""
-
-    beta: float = 0.0
-    gamma: float = 0.0
-
-    @property
-    def alpha(self) -> float:
-        return self.beta + self.gamma
-
-
-@dataclass(frozen=True)
 class TwoPathState:
-    """Wavefunction components in arms A and B, on a shared grid."""
+    """Wavefunctions of modes A and B, on a shared grid.
+
+    The modes are interferometer arms or internal atomic states.
+    """
 
     path_a: MomentumWavefunction
     path_b: MomentumWavefunction
 
     def __post_init__(self):
         if self.path_a.grid != self.path_b.grid:
-            raise GridMismatchError("arm wavefunctions must share a grid")
+            raise GridMismatchError("mode wavefunctions must share a grid")
 
     def total_norm(self) -> float:
         return wp.norm(self.path_a) + wp.norm(self.path_b)
@@ -91,14 +85,34 @@ def split(input_wf: MomentumWavefunction, bs: BeamSplitterCoeffs) -> TwoPathStat
     )
 
 
-def apply_kick(state: TwoPathState, delta: float, phase: PhaseSetting) -> TwoPathState:
+def _mode_field(mode: str) -> str:
+    if mode not in _MODE_FIELDS:
+        raise ParameterError(f"mode must be A or B, got {mode!r}")
+    return _MODE_FIELDS[mode]
+
+
+def kick(state: TwoPathState, mode: str, delta: float) -> TwoPathState:
+    """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta)."""
+    name = _mode_field(mode)
+    return replace(state, **{name: wp.shift(getattr(state, name), delta)})
+
+
+def phase(state: TwoPathState, mode: str, alpha: float) -> TwoPathState:
+    """Multiply one mode by e^(i alpha)."""
+    name = _mode_field(mode)
+    wf = getattr(state, name)
+    turned = MomentumWavefunction(wf.grid, np.exp(1j * alpha) * wf.amplitudes)
+    return replace(state, **{name: turned})
+
+
+def select(state: TwoPathState, mode: str, port: str) -> PortOutcome:
+    """Post-select one mode; the outcome is labelled with port."""
+    return port_stats(getattr(state, _mode_field(mode)), port)
+
+
+def apply_kick(state: TwoPathState, delta: float, alpha: float = 0.0) -> TwoPathState:
     """Impulsive kick in arm B: shift by delta and multiply by e^(i alpha)."""
-    kicked = wp.shift(state.path_b, delta)
-    factor = np.exp(1j * phase.alpha)
-    return TwoPathState(
-        path_a=state.path_a,
-        path_b=MomentumWavefunction(kicked.grid, factor * kicked.amplitudes),
-    )
+    return phase(kick(state, "B", delta), "B", alpha)
 
 
 def recombine(state: TwoPathState):
@@ -122,7 +136,7 @@ def recombine(state: TwoPathState):
 def port_stats(raw: MomentumWavefunction, port: str) -> PortOutcome:
     """Probability, normalized wavefunction and conditional mean at a port."""
     prob = wp.norm(raw)
-    if prob < DARK_PORT_THRESHOLD:
+    if prob < DARK_THRESHOLD:
         return PortOutcome(port=port, probability=prob, wavefunction=raw, mean_p=None)
     normalized = MomentumWavefunction(raw.grid, raw.amplitudes / np.sqrt(prob))
     return PortOutcome(
@@ -152,10 +166,8 @@ def conservation_residual(out_c: PortOutcome, out_d: PortOutcome,
     return abs(_weighted_mean(out_c) + _weighted_mean(out_d) - expected)
 
 
-def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float,
-            phase: PhaseSetting = PhaseSetting()):
+def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float, alpha: float = 0.0):
     """Full pipeline: split, kick arm B, recombine, post-select both ports."""
-    state = split(input_wf, BeamSplitterCoeffs(t))
-    state = apply_kick(state, delta, phase)
+    state = apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha)
     raw_c, raw_d = recombine(state)
     return port_stats(raw_c, "C"), port_stats(raw_d, "D")

@@ -1,89 +1,46 @@
 """Internal-state realization of the interferometer with cold atoms.
 
 The two interferometer paths are replaced by two internal atomic states
-|A> and |B>.  Microwave pulses play the role of beam splitters (real
-rotation coefficients), state-dependent Stern-Gerlach kicks play the role
-of the arm force, and selecting atoms in one internal state implements the
-exit-port post-selection.
+|A> and |B>, the modes of the same two-mode state the spatial
+interferometer uses.  Microwave pulses play the role of beam splitters
+(real rotation coefficients), state-dependent Stern-Gerlach kicks play the
+role of the arm force, and selecting atoms in one internal state
+implements the exit-port post-selection.
 
 The four-step protocol (pulse, kick, pi/2 pulse, inverse kick, select A)
 produces the same momentum wavefunction as the spatial interferometer's
 port C with delta = delta_b - delta_a and alpha = 0.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import interferometer as mzi
 from . import wavepacket as wp
-from .errors import GridMismatchError
-from .interferometer import PortOutcome, port_stats
+from .interferometer import BeamSplitterCoeffs, PortOutcome, TwoPathState
 from .wavepacket import GaussianParams, MomentumWavefunction
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SpinorWavefunction:
-    """Momentum wavefunctions attached to internal states |A> and |B>."""
-
-    comp_a: MomentumWavefunction
-    comp_b: MomentumWavefunction
-
-    def __post_init__(self):
-        if self.comp_a.grid != self.comp_b.grid:
-            raise GridMismatchError("spinor components must share a grid")
-
-    def total_norm(self) -> float:
-        return wp.norm(self.comp_a) + wp.norm(self.comp_b)
-
-
-@dataclass(frozen=True)
-class SgKick:
-    """Momentum imparted to each internal state by one field pulse."""
-
-    delta_a: float
-    delta_b: float
-
-
-def microwave_pulse(state: SpinorWavefunction, t_coeff: float) -> SpinorWavefunction:
+def microwave_pulse(state: TwoPathState, t_coeff: float) -> TwoPathState:
     """Internal-state rotation with real coefficients.
 
     Maps |A> to t|A> + sqrt(1-t^2)|B> and, unitarily,
     |B> to -sqrt(1-t^2)|A> + t|B>.  t_coeff = 1/sqrt(2) is a pi/2 pulse.
     """
-    if not 0.0 <= t_coeff <= 1.0:
-        raise ValueError(f"pulse coefficient must lie in [0, 1], got {t_coeff}")
-    r = np.sqrt(1.0 - t_coeff * t_coeff)
-    a, b = state.comp_a.amplitudes, state.comp_b.amplitudes
-    grid = state.comp_a.grid
-    return SpinorWavefunction(
-        comp_a=MomentumWavefunction(grid, t_coeff * a - r * b),
-        comp_b=MomentumWavefunction(grid, r * a + t_coeff * b),
+    coeffs = BeamSplitterCoeffs(t_coeff)
+    t, r = coeffs.t, coeffs.r
+    a, b = state.path_a.amplitudes, state.path_b.amplitudes
+    grid = state.path_a.grid
+    return TwoPathState(
+        path_a=MomentumWavefunction(grid, t * a - r * b),
+        path_b=MomentumWavefunction(grid, r * a + t * b),
     )
 
 
-def stern_gerlach(state: SpinorWavefunction, kick: SgKick) -> SpinorWavefunction:
-    """State-dependent momentum kicks, applied to each component."""
-    return SpinorWavefunction(
-        comp_a=wp.shift(state.comp_a, kick.delta_a),
-        comp_b=wp.shift(state.comp_b, kick.delta_b),
-    )
-
-
-def select_internal(state: SpinorWavefunction, which: str) -> PortOutcome:
-    """Post-select atoms found in internal state A or B."""
-    if which not in ("A", "B"):
-        raise ValueError(f"internal state must be A or B, got {which!r}")
-    raw = state.comp_a if which == "A" else state.comp_b
-    return port_stats(raw, which)
-
-
-def initial_state(params: GaussianParams, grid) -> SpinorWavefunction:
-    """All atoms in |A> with a Gaussian momentum wavefunction."""
-    gauss = wp.gaussian_init(params, grid)
-    zero = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
-    return SpinorWavefunction(comp_a=gauss, comp_b=zero)
+def stern_gerlach(state: TwoPathState, delta_a: float, delta_b: float) -> TwoPathState:
+    """State-dependent momentum kicks, applied to each internal state."""
+    return mzi.kick(mzi.kick(state, "A", delta_a), "B", delta_b)
 
 
 def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
@@ -98,9 +55,10 @@ def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
     """
     if grid is None:
         grid = wp.default_grid()
-    state = initial_state(GaussianParams(), grid)
+    empty = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
+    state = TwoPathState(wp.gaussian_init(GaussianParams(), grid), empty)
     state = microwave_pulse(state, t_coeff)
-    state = stern_gerlach(state, SgKick(delta_a, delta_b))
+    state = stern_gerlach(state, delta_a, delta_b)
     state = microwave_pulse(state, _SQRT1_2)
-    state = stern_gerlach(state, SgKick(-delta_a, -delta_b))
-    return select_internal(state, select)
+    state = stern_gerlach(state, -delta_a, -delta_b)
+    return mzi.select(state, select, select)

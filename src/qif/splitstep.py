@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interferometer as mzi
 from . import wavepacket as wp
-from .errors import BoundaryLeakError, GridMismatchError
+from .errors import BoundaryLeakError, GridMismatchError, ParameterError
 from .wavepacket import MomentumWavefunction, PositionWavefunction
 
 #: Fraction of cells at each edge of the position window used for the
@@ -35,9 +36,9 @@ class ImpulsePulse:
 
     def __post_init__(self):
         if self.duration < 0:
-            raise ValueError("duration must be non-negative")
+            raise ParameterError("duration must be non-negative")
         if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+            raise ParameterError("substeps must be >= 1")
 
     @property
     def delta(self) -> float:
@@ -47,13 +48,10 @@ class ImpulsePulse:
 @dataclass(frozen=True)
 class PropagationConfig:
     mass: float = 1.0
-    time_step: float = 1e-3
 
     def __post_init__(self):
         if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if not self.time_step > 0:
-            raise ValueError("time step must be positive")
+            raise ParameterError("mass must be positive")
 
 
 def _check_leakage(wf: PositionWavefunction) -> None:
@@ -142,8 +140,6 @@ def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePu
     kinetic phase common to both arms cancels; in the impulsive regime the
     port statistics then match the idealized run with alpha = 0.
     """
-    from . import interferometer as mzi
-
     state = mzi.split(input_wf, mzi.BeamSplitterCoeffs(t))
     psi_a = free_propagate(wp.to_position(state.path_a), pulse.duration, config)
     psi_b = apply_impulse(wp.to_position(state.path_b), pulse, config)

@@ -17,11 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AliasingError, GridMismatchError, GridTooNarrowError, ZeroNormError
+from .errors import (AliasingError, GridMismatchError, GridTooNarrowError, ParameterError,
+                     ZeroNormError)
 
 #: Below this norm a state is treated as a dark port (exact destructive
-#: interference up to rounding).
-ZERO_NORM_THRESHOLD = 1e-30
+#: interference up to rounding): it has no defined mean, and port
+#: statistics report it as dark rather than divide by it.
+DARK_THRESHOLD = 1e-15
 
 DEFAULT_N = 4096
 DEFAULT_P_MAX = 16.0
@@ -41,9 +43,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
-            raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
+            raise ParameterError(f"n_points must be a power of two >= 2, got {self.n_points}")
         if not self.p_max > self.p_min:
-            raise ValueError(f"need p_max > p_min, got [{self.p_min}, {self.p_max}]")
+            raise ParameterError(f"need p_max > p_min, got [{self.p_min}, {self.p_max}]")
 
     @property
     def dp(self) -> float:
@@ -77,9 +79,9 @@ class MomentumWavefunction:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.grid.n_points,):
-            raise ValueError("amplitude array does not match grid")
+            raise ParameterError("amplitude array does not match grid")
         if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("non-finite amplitudes")
+            raise ParameterError("non-finite amplitudes")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -94,7 +96,7 @@ class PositionWavefunction:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.grid.n_points,):
-            raise ValueError("amplitude array does not match grid")
+            raise ParameterError("amplitude array does not match grid")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -108,7 +110,7 @@ class GaussianParams:
 
     def __post_init__(self):
         if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+            raise ParameterError(f"width must be positive, got {self.width}")
 
 
 def gaussian_init(params: GaussianParams, grid: GridSpec) -> MomentumWavefunction:
@@ -140,7 +142,7 @@ def norm(wf) -> float:
 def mean_momentum(wf: MomentumWavefunction) -> float:
     """Normalized first moment of |Phi(p)|^2. Raises on dark states."""
     n = norm(wf)
-    if n < ZERO_NORM_THRESHOLD:
+    if n < DARK_THRESHOLD:
         raise ZeroNormError(f"norm {n} below dark-port threshold")
     return float(np.sum(wf.grid.p * np.abs(wf.amplitudes) ** 2) * wf.grid.dp / n)
 
@@ -148,7 +150,7 @@ def mean_momentum(wf: MomentumWavefunction) -> float:
 def variance_momentum(wf: MomentumWavefunction) -> float:
     """Second central moment of |Phi(p)|^2. Raises on dark states."""
     n = norm(wf)
-    if n < ZERO_NORM_THRESHOLD:
+    if n < DARK_THRESHOLD:
         raise ZeroNormError(f"norm {n} below dark-port threshold")
     mean = mean_momentum(wf)
     prob = np.abs(wf.amplitudes) ** 2
@@ -199,14 +201,6 @@ def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
     psi = to_position(wf)
     kicked = PositionWavefunction(wf.grid, psi.amplitudes * np.exp(1j * delta * wf.grid.z))
     return to_momentum(kicked)
-
-
-def superpose(a: complex, wf1: MomentumWavefunction,
-              b: complex, wf2: MomentumWavefunction) -> MomentumWavefunction:
-    """Nodewise linear combination a*Phi1 + b*Phi2 on a shared grid."""
-    if wf1.grid != wf2.grid:
-        raise GridMismatchError("superpose requires identical grids")
-    return MomentumWavefunction(wf1.grid, a * wf1.amplitudes + b * wf2.amplitudes)
 
 
 def overlap(wf1: MomentumWavefunction, wf2: MomentumWavefunction) -> complex:

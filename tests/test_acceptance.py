@@ -115,7 +115,7 @@ def test_criterion_5_conservation():
         alpha = rng.uniform(0.0, 2 * np.pi)
         r_sq_delta = (1 - t * t) * delta
 
-        out_c, out_d = mzi.run_mzi(gauss, t, delta, mzi.PhaseSetting(beta=alpha))
+        out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
         worst_grid = max(
             worst_grid, mzi.conservation_residual(out_c, out_d, t, delta, 0.0)
         )
@@ -134,7 +134,7 @@ def test_criterion_6_unitarity():
         t = rng.uniform(0.0, 1.0)
         delta = rng.uniform(0.0, 2.0)
         alpha = rng.uniform(0.0, 2 * np.pi)
-        out_c, out_d = mzi.run_mzi(gauss, t, delta, mzi.PhaseSetting(beta=alpha))
+        out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
         worst = max(worst, abs(out_c.probability + out_d.probability - 1.0))
     ok = worst <= 1e-9
     _report(6, ok, f"max |P_C + P_D - 1| = {worst:.2e}")

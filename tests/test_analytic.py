@@ -127,7 +127,7 @@ class TestOracleGridAgreement:
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
             s = analytic.closed_form_stats(MziParams(t, delta, alpha))
-            out_c, out_d = mzi.run_mzi(gauss, t, delta, mzi.PhaseSetting(beta=alpha))
+            out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
             worst = max(
                 worst,
                 abs(s.p_c - out_c.probability),

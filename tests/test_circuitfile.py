@@ -1,5 +1,7 @@
 """Circuit-description language: parsing, round trip, execution."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import program_gen
 from qif import circuitfile as cf
+from qif import interferometer as mzi
 from qif import wavepacket as wp
 from qif.errors import CircuitRuntimeError
 
@@ -195,3 +198,14 @@ class TestExecute:
         # header plus one line per node
         wf_lines = [l for l in result.lines if l[0] in "+-0123456789"]
         assert len(wf_lines) == 64
+
+    def test_reference_circuit_equals_run_mzi(self, grid, gauss):
+        # the circuit and run_mzi apply the same kick and phase primitives,
+        # so both port wavefunctions agree bit for bit
+        path = Path(__file__).parent.parent / "circuits" / "anomalous_kick.qif"
+        result = cf.execute(cf.parse(path.read_text()), grid)
+        out_c, out_d = mzi.run_mzi(gauss, 0.85, 0.2)
+        assert np.array_equal(result.outcome_c.wavefunction.amplitudes,
+                              out_c.wavefunction.amplitudes)
+        assert np.array_equal(result.outcome_d.wavefunction.amplitudes,
+                              out_d.wavefunction.amplitudes)

@@ -188,3 +188,41 @@ class TestBec:
         assert run(["bec", "--t", "0.85", "--delta-a", "0.2", "--delta-b", "0.2"]) == 0
         mean = float(capsys.readouterr().out.split("<p> = ")[1].splitlines()[0])
         assert mean == pytest.approx(0.0, abs=1e-9)
+
+
+# inputs that once escaped main as a traceback, or were silently ignored;
+# "{file}" stands for a circuit file holding the case's text
+REFUSED = [
+    ("bs_t_out_of_range", CANONICAL.replace("t=0.85", "t=1.5"),
+     ["simulate", "{file}"], {}, "line 2"),
+    ("zero_width", CANONICAL.replace("width=1", "width=0"),
+     ["simulate", "{file}"], {}, "line 1"),
+    ("bec_t_out_of_range", None,
+     ["bec", "--t", "2", "--delta-a", "0", "--delta-b", "0.2"], {}, "transmission"),
+    ("zero_substeps", None, ["propagate", "--substeps", "0"], {}, "substeps"),
+    ("zero_mass", None, ["propagate", "--mass", "0"], {}, "mass"),
+    ("negative_samples", None,
+     ["oracle-check", "--samples", "-1", "--seed", "1"], {}, "samples"),
+    ("grid_env_not_power_of_two", CANONICAL,
+     ["simulate", "{file}"], {"QIF_GRID_N": "1000"}, "power of two"),
+    ("grid_env_not_integer", CANONICAL,
+     ["simulate", "{file}"], {"QIF_GRID_N": "abc"}, "QIF_GRID_N"),
+    ("grid_flag_zero", CANONICAL,
+     ["simulate", "{file}", "--grid-n", "0"], {}, "power of two"),
+]
+
+
+@pytest.mark.parametrize("text, argv, env, fragment",
+                         [case[1:] for case in REFUSED],
+                         ids=[case[0] for case in REFUSED])
+def test_bad_input_refused(tmp_path, capsys, monkeypatch, text, argv, env, fragment):
+    path = tmp_path / "case.qif"
+    if text is not None:
+        path.write_text(text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = run([arg.replace("{file}", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert fragment in captured.err
+    assert captured.out == ""

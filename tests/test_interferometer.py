@@ -5,7 +5,7 @@ import pytest
 
 from qif import interferometer as mzi
 from qif import wavepacket as wp
-from qif.interferometer import BeamSplitterCoeffs, PhaseSetting
+from qif.interferometer import BeamSplitterCoeffs
 from qif.wavepacket import GaussianParams, MomentumWavefunction
 
 
@@ -39,37 +39,43 @@ class TestBeamSplitter:
 class TestApplyKick:
     def test_noop(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
-        kicked = mzi.apply_kick(state, 0.0, PhaseSetting())
+        kicked = mzi.apply_kick(state, 0.0)
         np.testing.assert_array_equal(kicked.path_b.amplitudes, state.path_b.amplitudes)
 
     def test_kick_moves_arm_b_only(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
-        kicked = mzi.apply_kick(state, 0.2, PhaseSetting())
+        kicked = mzi.apply_kick(state, 0.2)
         np.testing.assert_array_equal(kicked.path_a.amplitudes, state.path_a.amplitudes)
         assert wp.mean_momentum(kicked.path_b) == pytest.approx(0.2, abs=1e-9)
         assert wp.norm(kicked.path_b) == pytest.approx(1 - 0.85 ** 2, abs=1e-10)
 
     def test_pi_phase_negates(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
-        plain = mzi.apply_kick(state, 0.2, PhaseSetting())
-        flipped = mzi.apply_kick(state, 0.2, PhaseSetting(beta=np.pi))
+        plain = mzi.apply_kick(state, 0.2)
+        flipped = mzi.apply_kick(state, 0.2, alpha=np.pi)
         np.testing.assert_allclose(
             flipped.path_b.amplitudes, -plain.path_b.amplitudes, atol=1e-12
         )
 
-    def test_alpha_is_beta_plus_gamma(self):
-        assert PhaseSetting(beta=0.3, gamma=0.4).alpha == pytest.approx(0.7)
+    def test_alpha_is_beta_plus_gamma(self, gauss):
+        # propagation phase beta then kick phase gamma act as one alpha
+        state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
+        twice = mzi.phase(mzi.phase(state, "B", 0.3), "B", 0.4)
+        once = mzi.phase(state, "B", 0.7)
+        np.testing.assert_allclose(twice.path_b.amplitudes, once.path_b.amplitudes,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(twice.path_a.amplitudes, state.path_a.amplitudes)
 
 
 class TestRecombine:
     def test_dark_port(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(1 / np.sqrt(2)))
-        raw_c, _ = mzi.recombine(mzi.apply_kick(state, 0.0, PhaseSetting()))
+        raw_c, _ = mzi.recombine(mzi.apply_kick(state, 0.0))
         assert wp.norm(raw_c) == pytest.approx(0.0, abs=1e-15)
 
     def test_port_probability(self, gauss):
         state = mzi.apply_kick(
-            mzi.split(gauss, BeamSplitterCoeffs(0.85)), 0.2, PhaseSetting()
+            mzi.split(gauss, BeamSplitterCoeffs(0.85)), 0.2
         )
         raw_c, raw_d = mzi.recombine(state)
         assert wp.norm(raw_c) == pytest.approx(0.05669005452584719, abs=1e-9)
@@ -81,7 +87,7 @@ class TestRecombine:
         t, delta, alpha = 0.6, 0.5, 1.1
         r = np.sqrt(1 - t * t)
         state = mzi.apply_kick(
-            mzi.split(gauss, BeamSplitterCoeffs(t)), delta, PhaseSetting(beta=alpha)
+            mzi.split(gauss, BeamSplitterCoeffs(t)), delta, alpha
         )
         raw_c, raw_d = mzi.recombine(state)
         shifted = wp.shift(gauss, delta)
@@ -118,7 +124,7 @@ class TestConservation:
             t = rng.uniform(0.0, 1.0)
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            out_c, out_d = mzi.run_mzi(gauss, t, delta, PhaseSetting(beta=alpha))
+            out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
             assert mzi.conservation_residual(out_c, out_d, t, delta, 0.0) <= 1e-8
 
     def test_no_kick_path(self, gauss):
@@ -138,12 +144,12 @@ class TestPipelineProperties:
             t = rng.uniform(0.0, 1.0)
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            out_c, out_d = mzi.run_mzi(gauss, t, delta, PhaseSetting(beta=alpha))
+            out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
             assert out_c.probability + out_d.probability == pytest.approx(1.0, abs=1e-9)
 
     def test_alpha_periodicity(self, gauss):
-        base_c, base_d = mzi.run_mzi(gauss, 0.7, 0.4, PhaseSetting(beta=0.3))
-        per_c, per_d = mzi.run_mzi(gauss, 0.7, 0.4, PhaseSetting(beta=0.3 + 2 * np.pi))
+        base_c, base_d = mzi.run_mzi(gauss, 0.7, 0.4, 0.3)
+        per_c, per_d = mzi.run_mzi(gauss, 0.7, 0.4, 0.3 + 2 * np.pi)
         assert per_c.probability == pytest.approx(base_c.probability, abs=1e-9)
         assert per_c.mean_p == pytest.approx(base_c.mean_p, abs=1e-9)
         assert per_d.mean_p == pytest.approx(base_d.mean_p, abs=1e-9)
@@ -153,8 +159,8 @@ class TestPipelineProperties:
             t = rng.uniform(0.1, 0.95)
             delta = rng.uniform(0.05, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            out_c, out_d = mzi.run_mzi(gauss, t, delta, PhaseSetting(beta=alpha))
-            sw_c, sw_d = mzi.run_mzi(gauss, t, delta, PhaseSetting(beta=alpha + np.pi))
+            out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
+            sw_c, sw_d = mzi.run_mzi(gauss, t, delta, alpha + np.pi)
             assert sw_c.probability == pytest.approx(out_d.probability, abs=1e-9)
             assert sw_d.probability == pytest.approx(out_c.probability, abs=1e-9)
             assert sw_c.mean_p == pytest.approx(out_d.mean_p, abs=1e-9)

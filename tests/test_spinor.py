@@ -5,13 +5,16 @@ import pytest
 
 from qif import interferometer as mzi
 from qif import spinor, wavepacket as wp
-from qif.spinor import SgKick, SpinorWavefunction
+from qif.interferometer import TwoPathState
 from qif.wavepacket import GaussianParams, MomentumWavefunction
 
 
 @pytest.fixture(scope="module")
 def pure_a():
-    return spinor.initial_state(GaussianParams(), wp.default_grid())
+    # all atoms in |A> with a Gaussian momentum wavefunction
+    grid = wp.default_grid()
+    empty = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
+    return TwoPathState(wp.gaussian_init(GaussianParams(), grid), empty)
 
 
 def _raw(outcome):
@@ -21,30 +24,30 @@ def _raw(outcome):
 class TestMicrowavePulse:
     def test_identity_pulse(self, pure_a):
         out = spinor.microwave_pulse(pure_a, 1.0)
-        np.testing.assert_array_equal(out.comp_a.amplitudes, pure_a.comp_a.amplitudes)
-        np.testing.assert_array_equal(out.comp_b.amplitudes, pure_a.comp_b.amplitudes)
+        np.testing.assert_array_equal(out.path_a.amplitudes, pure_a.path_a.amplitudes)
+        np.testing.assert_array_equal(out.path_b.amplitudes, pure_a.path_b.amplitudes)
 
     def test_pi_half_pulse_on_pure_a(self, pure_a):
         out = spinor.microwave_pulse(pure_a, 1 / np.sqrt(2))
         np.testing.assert_allclose(
-            out.comp_a.amplitudes, pure_a.comp_a.amplitudes / np.sqrt(2), atol=1e-12
+            out.path_a.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
         )
         np.testing.assert_allclose(
-            out.comp_b.amplitudes, pure_a.comp_a.amplitudes / np.sqrt(2), atol=1e-12
+            out.path_b.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
         )
 
     def test_pi_half_pulse_on_pure_b(self, pure_a):
-        grid = pure_a.comp_a.grid
-        pure_b = SpinorWavefunction(
-            comp_a=MomentumWavefunction(grid, np.zeros(grid.n_points, complex)),
-            comp_b=pure_a.comp_a,
+        grid = pure_a.path_a.grid
+        pure_b = TwoPathState(
+            path_a=MomentumWavefunction(grid, np.zeros(grid.n_points, complex)),
+            path_b=pure_a.path_a,
         )
         out = spinor.microwave_pulse(pure_b, 1 / np.sqrt(2))
         np.testing.assert_allclose(
-            out.comp_a.amplitudes, -pure_a.comp_a.amplitudes / np.sqrt(2), atol=1e-12
+            out.path_a.amplitudes, -pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
         )
         np.testing.assert_allclose(
-            out.comp_b.amplitudes, pure_a.comp_a.amplitudes / np.sqrt(2), atol=1e-12
+            out.path_b.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
         )
 
     def test_composition_is_rotation(self, pure_a):
@@ -55,10 +58,10 @@ class TestMicrowavePulse:
         expected_t = t1 * t2 - r1 * r2
         expected_r = r1 * t2 + t1 * r2
         np.testing.assert_allclose(
-            composed.comp_a.amplitudes, expected_t * pure_a.comp_a.amplitudes, atol=1e-12
+            composed.path_a.amplitudes, expected_t * pure_a.path_a.amplitudes, atol=1e-12
         )
         np.testing.assert_allclose(
-            composed.comp_b.amplitudes, expected_r * pure_a.comp_a.amplitudes, atol=1e-12
+            composed.path_b.amplitudes, expected_r * pure_a.path_a.amplitudes, atol=1e-12
         )
 
     def test_unitarity(self, pure_a, rng):
@@ -74,37 +77,37 @@ class TestMicrowavePulse:
 
 class TestSternGerlach:
     def test_zero_kick_identity(self, pure_a):
-        out = spinor.stern_gerlach(pure_a, SgKick(0.0, 0.0))
-        np.testing.assert_array_equal(out.comp_a.amplitudes, pure_a.comp_a.amplitudes)
+        out = spinor.stern_gerlach(pure_a, 0.0, 0.0)
+        np.testing.assert_array_equal(out.path_a.amplitudes, pure_a.path_a.amplitudes)
 
     def test_kick_moves_component(self, pure_a):
-        out = spinor.stern_gerlach(pure_a, SgKick(0.3, 0.0))
-        assert wp.mean_momentum(out.comp_a) == pytest.approx(0.3, abs=1e-9)
+        out = spinor.stern_gerlach(pure_a, 0.3, 0.0)
+        assert wp.mean_momentum(out.path_a) == pytest.approx(0.3, abs=1e-9)
 
     def test_intermediate_state_matches_protocol(self, pure_a):
         # after pulse(t) and kick: t Phi(p - da) |A> + r Phi(p - db) |B>
         t, da, db = 0.85, 0.1, 0.3
         r = np.sqrt(1 - t * t)
-        state = spinor.stern_gerlach(spinor.microwave_pulse(pure_a, t), SgKick(da, db))
-        gauss = pure_a.comp_a
+        state = spinor.stern_gerlach(spinor.microwave_pulse(pure_a, t), da, db)
+        gauss = pure_a.path_a
         np.testing.assert_allclose(
-            state.comp_a.amplitudes, t * wp.shift(gauss, da).amplitudes, atol=1e-12
+            state.path_a.amplitudes, t * wp.shift(gauss, da).amplitudes, atol=1e-12
         )
         np.testing.assert_allclose(
-            state.comp_b.amplitudes, r * wp.shift(gauss, db).amplitudes, atol=1e-12
+            state.path_b.amplitudes, r * wp.shift(gauss, db).amplitudes, atol=1e-12
         )
 
 
 class TestSelect:
     def test_pure_state_selection(self, pure_a):
-        assert spinor.select_internal(pure_a, "A").probability == pytest.approx(1.0, abs=1e-10)
-        out_b = spinor.select_internal(pure_a, "B")
+        assert mzi.select(pure_a, "A", "A").probability == pytest.approx(1.0, abs=1e-10)
+        out_b = mzi.select(pure_a, "B", "B")
         assert out_b.probability == 0.0
         assert out_b.is_dark
 
     def test_bad_label(self, pure_a):
         with pytest.raises(ValueError):
-            spinor.select_internal(pure_a, "C")
+            mzi.select(pure_a, "C", "C")
 
 
 class TestRunProtocol:

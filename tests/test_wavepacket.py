@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qif import wavepacket as wp
+from qif import interferometer as mzi
+from qif import spinor, wavepacket as wp
 from qif.errors import AliasingError, GridMismatchError, GridTooNarrowError, ZeroNormError
+from qif.interferometer import TwoPathState
 from qif.wavepacket import GaussianParams, GridSpec, MomentumWavefunction
 
 
@@ -134,20 +136,24 @@ class TestShift:
 
 
 class TestSuperpose:
+    """Linear combinations of two modes, as the beam-splitter mixers form them."""
+
     def test_identity(self, gauss):
-        out = wp.superpose(1.0, gauss, 0.0, gauss)
-        np.testing.assert_allclose(out.amplitudes, gauss.amplitudes)
+        # a t = 1 pulse forms 1 * Phi - 0 * Phi in mode A
+        out = spinor.microwave_pulse(TwoPathState(gauss, gauss), 1.0)
+        np.testing.assert_allclose(out.path_a.amplitudes, gauss.amplitudes)
 
     def test_destructive(self, gauss):
-        s = 1 / np.sqrt(2)
-        out = wp.superpose(s, gauss, -s, gauss)
-        assert wp.norm(out) == pytest.approx(0.0, abs=1e-15)
+        # a pi/2 pulse forms (Phi - Phi) / sqrt(2) in mode A
+        out = spinor.microwave_pulse(TwoPathState(gauss, gauss), 1 / np.sqrt(2))
+        assert wp.norm(out.path_a) == pytest.approx(0.0, abs=1e-15)
 
     def test_port_c_combination(self, gauss):
         # t/sqrt(2) Phi - r/sqrt(2) Phi(p - delta) at t=0.85, delta=0.2
         t, delta = 0.85, 0.2
         r = np.sqrt(1 - t * t)
-        out = wp.superpose(t / np.sqrt(2), gauss, -r / np.sqrt(2), wp.shift(gauss, delta))
+        state = mzi.apply_kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(t)), delta)
+        out, _ = mzi.recombine(state)
         expected = (1 - 2 * t * r * np.exp(-delta * delta / 4)) / 2
         assert wp.norm(out) == pytest.approx(expected, abs=1e-10)
         assert abs(wp.norm(out) - 0.057) < 1e-3
@@ -155,7 +161,7 @@ class TestSuperpose:
     def test_grid_mismatch(self, gauss):
         other = wp.gaussian_init(GaussianParams(), GridSpec(2048, -16.0, 16.0))
         with pytest.raises(GridMismatchError):
-            wp.superpose(1.0, gauss, 1.0, other)
+            TwoPathState(gauss, other)
 
     @given(
         ar=st.floats(-2, 2), ai=st.floats(-2, 2),
@@ -168,12 +174,14 @@ class TestSuperpose:
         wf1 = wp.gaussian_init(GaussianParams(), grid)
         wf2 = wp.shift(wf1, delta)
         a, b = complex(ar, ai), complex(br, bi)
-        combined = wp.superpose(a, wf1, b, wf2)
+        state = TwoPathState(MomentumWavefunction(grid, a * wf1.amplitudes),
+                             MomentumWavefunction(grid, b * wf2.amplitudes))
+        combined, _ = mzi.recombine(state)  # (a Phi1 + i b Phi2) / sqrt(2)
         expected = (
             abs(a) ** 2 * wp.norm(wf1)
             + abs(b) ** 2 * wp.norm(wf2)
-            + 2 * (np.conj(a) * b * wp.overlap(wf1, wf2)).real
-        )
+            + 2 * (np.conj(a) * 1j * b * wp.overlap(wf1, wf2)).real
+        ) / 2
         assert wp.norm(combined) == pytest.approx(expected, abs=1e-9)
 
 
