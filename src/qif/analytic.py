@@ -9,7 +9,9 @@ and kicked Gaussians, and r = sqrt(1 - t^2):
 
 (upper signs: port C).  These are derivation results, validated against
 grid quadrature in the test suite; they serve as the independent oracle
-for every grid computation and for fast parameter sweeps.
+for every grid computation and for fast parameter sweeps.  stats_grid is
+the one place they are written: closed_form_stats is its scalar view, and
+sweeps evaluate a whole t x delta surface with one call.
 """
 
 from dataclasses import dataclass
@@ -18,18 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
+from .interferometer import BeamSplitterCoeffs
 from .wavepacket import DARK_THRESHOLD
-
-
-@dataclass(frozen=True)
-class MziParams:
-    t: float
-    delta_over_w: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ParameterError(f"transmission must lie in [0, 1], got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -42,44 +34,39 @@ class ClosedFormStats:
     mean_d: Optional[float]
 
 
-def gaussian_overlap(delta_over_w: float) -> float:
+def gaussian_overlap(delta_over_w):
     """Overlap integral of two unit-width Gaussians displaced by delta.
 
-    Equals exp(-delta^2 / 4 W^2); checked against numeric quadrature in the
-    tests before being trusted anywhere.
+    Equals exp(-delta^2 / 4 W^2), elementwise; checked against numeric
+    quadrature in the tests before being trusted anywhere.
     """
-    return float(np.exp(-0.25 * delta_over_w * delta_over_w))
+    return np.exp(-0.25 * delta_over_w * delta_over_w)
 
 
-def closed_form_stats(params: MziParams) -> ClosedFormStats:
-    """Analytic P_C, P_D, <p>_C, <p>_D for a Gaussian input."""
-    t = params.t
-    d = params.delta_over_w
-    r = np.sqrt(1.0 - t * t)
-    cross = t * r * np.cos(params.alpha) * gaussian_overlap(d)
-    p_c = (1.0 - 2.0 * cross) / 2.0
-    p_d = (1.0 + 2.0 * cross) / 2.0
-    mean_c = float(d * (r * r - cross) / (2.0 * p_c)) if p_c > DARK_THRESHOLD else None
-    mean_d = float(d * (r * r + cross) / (2.0 * p_d)) if p_d > DARK_THRESHOLD else None
-    return ClosedFormStats(p_c=float(p_c), p_d=float(p_d), mean_c=mean_c, mean_d=mean_d)
-
-
-def stats_grid(t: np.ndarray, delta: np.ndarray, alpha: float = 0.0):
-    """Vectorized closed forms over broadcastable t / delta arrays.
+def stats_grid(t, delta, alpha=0.0):
+    """The closed forms, broadcast over t, delta and alpha.
 
     Returns (p_c, mean_c, p_d, mean_d); means are nan where the port is
-    dark.  Used by sweeps, where scalar calls would dominate runtime.
+    dark.  t must lie in [0, 1]; callers check it with BeamSplitterCoeffs.
     """
     t = np.asarray(t, dtype=float)
     delta = np.asarray(delta, dtype=float)
     r = np.sqrt(1.0 - t * t)
-    cross = t * r * np.cos(alpha) * np.exp(-0.25 * delta * delta)
+    cross = t * r * np.cos(alpha) * gaussian_overlap(delta)
     p_c = (1.0 - 2.0 * cross) / 2.0
     p_d = (1.0 + 2.0 * cross) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_c = np.where(p_c > DARK_THRESHOLD, delta * (r * r - cross) / (2.0 * p_c), np.nan)
         mean_d = np.where(p_d > DARK_THRESHOLD, delta * (r * r + cross) / (2.0 * p_d), np.nan)
     return p_c, mean_c, p_d, mean_d
+
+
+def closed_form_stats(t: float, delta_over_w: float, alpha: float = 0.0) -> ClosedFormStats:
+    """Analytic P_C, P_D, <p>_C, <p>_D for a Gaussian input: one cell of stats_grid."""
+    BeamSplitterCoeffs(t)
+    p_c, mean_c, p_d, mean_d = (float(x) for x in stats_grid(t, delta_over_w, alpha))
+    return ClosedFormStats(p_c=p_c, p_d=p_d, mean_c=None if np.isnan(mean_c) else mean_c,
+                           mean_d=None if np.isnan(mean_d) else mean_d)
 
 
 def find_min_mean_c(t_range, delta_range, resolution: int):

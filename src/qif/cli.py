@@ -41,7 +41,7 @@ def _grid(args) -> wp.GridSpec:
 
 
 def _fmt(x: float) -> str:
-    return "nan" if x is None or np.isnan(x) else format(x, ".17g")
+    return format(x, ".17g")
 
 
 def cmd_simulate(args) -> int:
@@ -54,55 +54,55 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _grid_backend_stats(t, delta, alpha, grid):
+def _grid_stats(tt, dd, alpha, grid):
+    """run_mzi per cell on one Gaussian, laid out as stats_grid returns it."""
     gauss = wp.gaussian_init(wp.GaussianParams(), grid)
-    out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
-    residual = mzi.conservation_residual(out_c, out_d, t, delta, 0.0)
-    mean = lambda o: np.nan if o.is_dark else o.mean_p
-    return out_c.probability, mean(out_c), out_d.probability, mean(out_d), residual
-
-
-def _sweep_rows(args, grid):
-    # step counts arrive as floats: refuse nan and inf before int() sees them
-    if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):
-        raise ParameterError("sweep needs at least 2 steps per axis")
-    ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
-    ds = np.linspace(args.delta[0], args.delta[1], int(args.delta[2]))
-    for t in ts:
-        for d in ds:
-            if args.backend == "oracle":
-                s = analytic.closed_form_stats(analytic.MziParams(t, d, args.alpha))
-                p_c, m_c, p_d, m_d = s.p_c, s.mean_c, s.p_d, s.mean_d
-                residual = abs(
-                    (0.0 if m_c is None else p_c * m_c)
-                    + (0.0 if m_d is None else p_d * m_d)
-                    - (1.0 - t * t) * d
-                )
-                tol = 1e-12
-            else:
-                p_c, m_c, p_d, m_d, residual = _grid_backend_stats(t, d, args.alpha, grid)
-                tol = 1e-8
-            if abs(p_c + p_d - 1.0) > 1e-9:
-                raise QifError(f"unitarity violated at t={t}, delta={d}")
-            if residual > tol:
-                raise QifError(f"conservation violated at t={t}, delta={d}")
-            yield t, d, args.alpha, p_c, m_c, p_d, m_d, residual
+    stats = np.empty((4, tt.size))
+    for i, (t, d) in enumerate(zip(tt.flat, dd.flat)):
+        out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
+        # a dark port's mean is None, which numpy stores as nan
+        stats[:, i] = out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p
+    return stats.reshape((4,) + tt.shape)
 
 
 def cmd_sweep(args) -> int:
     grid = _grid(args)
-    min_mean = np.inf
-    argmin = (np.nan, np.nan)
+    # step counts arrive as floats: refuse nan and inf before int() sees them
+    if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):
+        raise ParameterError("sweep needs at least 2 steps per axis")
+    ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
+    for t in ts:
+        mzi.BeamSplitterCoeffs(t)
+    tt, dd = np.meshgrid(ts, np.linspace(args.delta[0], args.delta[1], int(args.delta[2])),
+                         indexing="ij")
+    if args.backend == "oracle":
+        p_c, m_c, p_d, m_d = analytic.stats_grid(tt, dd, args.alpha)
+        tol = 1e-12
+    else:
+        p_c, m_c, p_d, m_d = _grid_stats(tt, dd, args.alpha, grid)
+        tol = 1e-8
+    # a dark port (nan mean) carries no momentum
+    residual = np.abs(np.where(np.isnan(m_c), 0.0, p_c * m_c)
+                      + np.where(np.isnan(m_d), 0.0, p_d * m_d) - (1.0 - tt * tt) * dd)
+    not_unitary = np.abs(p_c + p_d - 1.0) > 1e-9
+    bad = np.flatnonzero(not_unitary | (residual > tol))
+    if bad.size:
+        i = bad[0]
+        broken = "unitarity" if not_unitary.flat[i] else "conservation"
+        raise QifError(f"{broken} violated at t={tt.flat[i]}, delta={dd.flat[i]}")
+
+    columns = (tt, dd, np.broadcast_to(args.alpha, tt.shape), p_c, m_c, p_d, m_d, residual)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in _sweep_rows(args, grid):
-            t, d, _, _, m_c, _, _, _ = row
-            if m_c is not None and not np.isnan(m_c) and m_c < min_mean:
-                min_mean, argmin = m_c, (t, d)
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in zip(*(column.flat for column in columns)):
+            fh.write(",".join(map(_fmt, row)) + "\n")
+    # the first minimum in t-major order; a dark cell's nan never wins
+    i = np.argmin(np.where(np.isnan(m_c), np.inf, m_c))
+    best = (m_c.flat[i], tt.flat[i], dd.flat[i])
+    if not best[0] < np.inf:
+        best = (np.inf, np.nan, np.nan)
     print(f"wrote {args.out}")
-    print(f"min mean_C = {_fmt(min_mean)} at t = {_fmt(argmin[0])}, "
-          f"delta = {_fmt(argmin[1])}")
+    print(f"min mean_C = {_fmt(best[0])} at t = {_fmt(best[1])}, delta = {_fmt(best[2])}")
     return EXIT_OK
 
 
@@ -121,7 +121,7 @@ def cmd_oracle_check(args) -> int:
         t = rng.uniform(0.05, 0.95)
         d = rng.uniform(0.0, 2.0)
         alpha = rng.uniform(0.0, 2.0 * np.pi)
-        s = analytic.closed_form_stats(analytic.MziParams(t, d, alpha))
+        s = analytic.closed_form_stats(t, d, alpha)
         out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
         devs = [abs(s.p_c - out_c.probability), abs(s.p_d - out_d.probability)]
         if s.mean_c is not None and not out_c.is_dark:
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     prefix = getattr(args, "file", "error")
     try:
         return args.func(args)
-    except QifError as exc:
+    except (QifError, UnicodeDecodeError) as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, circuitfile.ParseError) else EXIT_RUNTIME
     except OSError as exc:

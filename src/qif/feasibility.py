@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import MziParams
 from .errors import ParameterError
 
 # CODATA 2018 values.
@@ -103,7 +102,3 @@ def electron_report(scenario: ElectronScenario = ElectronScenario()) -> Feasibil
         ratio=float(kick / momentum_width),
     )
 
-
-def ratio_to_mzi_params(report: FeasibilityReport, t: float, alpha: float = 0.0):
-    """Feed the dimensionless kick ratio into the interferometer model."""
-    return MziParams(t=t, delta_over_w=report.ratio, alpha=alpha)

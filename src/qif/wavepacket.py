@@ -28,6 +28,10 @@ DARK_THRESHOLD = 1e-15
 DEFAULT_N = 4096
 DEFAULT_P_MAX = 16.0
 
+#: A shift is refused when more than this fraction of the norm would land
+#: outside [p_min, p_max) and wrap around to the other edge.
+WRAP_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -193,11 +197,20 @@ def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
 
     Realized as the phase ramp exp(i delta z) in position space, which is
     exact for band-limited content and works for arbitrary delta.  Guarded
-    against wrap-around: |delta| must stay below a quarter of the grid span.
+    against wrap-around: |delta| must stay below a quarter of the grid span,
+    and no more than WRAP_TOLERANCE of the norm may be moved past an edge.
     """
     check_aliasing_guard(wf.grid, delta)
     if delta == 0.0:
         return wf
+    # p + delta is sorted, so the nodes that land outside are a prefix and a suffix
+    lo, hi = np.searchsorted(wf.grid.p + delta, (wf.grid.p_min, wf.grid.p_max))
+    amp = wf.amplitudes
+    wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
+    total = np.vdot(amp, amp).real
+    if wrapped > WRAP_TOLERANCE * total:
+        raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
+                            "past the grid edge")
     psi = to_position(wf)
     kicked = PositionWavefunction(wf.grid, psi.amplitudes * np.exp(1j * delta * wf.grid.z))
     return to_momentum(kicked)

@@ -25,7 +25,6 @@ import program_gen
 from qif import analytic, circuitfile as cf, feasibility
 from qif import interferometer as mzi
 from qif import spinor, splitstep as ss, wavepacket as wp
-from qif.analytic import MziParams
 from qif.feasibility import ElectronScenario
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams
@@ -49,7 +48,7 @@ def test_criterion_1_reference_point():
     start = time.perf_counter()
     gauss = wp.gaussian_init(GaussianParams(), wp.default_grid())
     out_c, _ = mzi.run_mzi(gauss, 0.85, 0.2)
-    oracle = analytic.closed_form_stats(MziParams(0.85, 0.2, 0.0))
+    oracle = analytic.closed_form_stats(0.85, 0.2, 0.0)
     elapsed = time.perf_counter() - start
     ok = (
         abs(out_c.mean_p - oracle.mean_c) <= 1e-6
@@ -119,7 +118,7 @@ def test_criterion_5_conservation():
         worst_grid = max(
             worst_grid, mzi.conservation_residual(out_c, out_d, t, delta, 0.0)
         )
-        s = analytic.closed_form_stats(MziParams(t, delta, alpha))
+        s = analytic.closed_form_stats(t, delta, alpha)
         total = s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
         worst_oracle = max(worst_oracle, abs(total - r_sq_delta))
     ok = worst_grid <= 1e-8 and worst_oracle <= 1e-12
@@ -152,7 +151,7 @@ def test_criterion_7_impulsive_force():
     shift = wp.mean_momentum(wp.to_momentum(after))
 
     out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse, config)
-    oracle = analytic.closed_form_stats(MziParams(0.85, 0.2, 0.0))
+    oracle = analytic.closed_form_stats(0.85, 0.2, 0.0)
     pipeline_dev = max(
         abs(out_c.probability - oracle.p_c), abs(out_c.mean_p - oracle.mean_c),
         abs(out_d.probability - oracle.p_d), abs(out_d.mean_p - oracle.mean_d),

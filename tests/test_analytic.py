@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qif import analytic, interferometer as mzi, wavepacket as wp
-from qif.analytic import ClosedFormStats, MziParams
+from qif.analytic import ClosedFormStats
 
 
 def _phi(p):
@@ -51,7 +51,7 @@ class TestGaussianOverlap:
 
 class TestClosedFormStats:
     def test_reference_point(self):
-        s = analytic.closed_form_stats(MziParams(0.85, 0.2, 0.0))
+        s = analytic.closed_form_stats(0.85, 0.2, 0.0)
         assert s.p_c == pytest.approx(0.05669005452584719, abs=1e-12)
         assert s.mean_c == pytest.approx(-0.2924850696669441, abs=1e-12)
         assert abs(s.p_c - 0.057) < 1e-3 and abs(s.mean_c + 0.29) < 5e-3
@@ -65,7 +65,7 @@ class TestClosedFormStats:
     ])
     def test_every_coefficient_against_quadrature(self, t, delta, alpha):
         p_c, m_c, p_d, m_d = _quadrature_stats(t, delta, alpha)
-        s = analytic.closed_form_stats(MziParams(t, delta, alpha))
+        s = analytic.closed_form_stats(t, delta, alpha)
         assert s.p_c == pytest.approx(p_c, abs=1e-10)
         assert s.p_d == pytest.approx(p_d, abs=1e-10)
         assert s.mean_c == pytest.approx(m_c, abs=1e-10)
@@ -77,15 +77,20 @@ class TestClosedFormStats:
         assert m_c <= -0.3
         assert p_c > 0.2
 
+    def test_transmission_out_of_range_refused(self):
+        for t in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match="transmission"):
+                analytic.closed_form_stats(t, 0.2)
+
     def test_balanced_dark_port(self):
-        s = analytic.closed_form_stats(MziParams(1 / np.sqrt(2), 0.0, 0.0))
+        s = analytic.closed_form_stats(1 / np.sqrt(2), 0.0, 0.0)
         assert s.p_c == pytest.approx(0.0, abs=1e-15)
         assert s.mean_c is None
 
     def test_quarter_phase_kills_interference(self):
         # cos(alpha) = 0: both ports equally likely, both means r^2 delta
         for t, delta in ((0.6, 0.5), (0.85, 1.2)):
-            s = analytic.closed_form_stats(MziParams(t, delta, np.pi / 2))
+            s = analytic.closed_form_stats(t, delta, np.pi / 2)
             r_sq = 1 - t * t
             assert s.p_c == pytest.approx(0.5, abs=1e-12)
             assert s.p_d == pytest.approx(0.5, abs=1e-12)
@@ -97,7 +102,7 @@ class TestClosedFormStats:
             t = rng.uniform(0.0, 1.0)
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            s = analytic.closed_form_stats(MziParams(t, delta, alpha))
+            s = analytic.closed_form_stats(t, delta, alpha)
             total = s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
             assert abs(total - (1 - t * t) * delta) <= 1e-12
 
@@ -106,8 +111,8 @@ class TestClosedFormStats:
             t = rng.uniform(0.05, 0.95)
             delta = rng.uniform(0.05, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            s = analytic.closed_form_stats(MziParams(t, delta, alpha))
-            sw = analytic.closed_form_stats(MziParams(t, delta, alpha + np.pi))
+            s = analytic.closed_form_stats(t, delta, alpha)
+            sw = analytic.closed_form_stats(t, delta, alpha + np.pi)
             assert sw.p_c == pytest.approx(s.p_d, abs=1e-14)
             assert sw.mean_c == pytest.approx(s.mean_d, abs=1e-12)
 
@@ -115,7 +120,7 @@ class TestClosedFormStats:
         # delta = 4W: cross term carries K = e^-4
         t, delta = 0.7, 4.0
         r = np.sqrt(1 - t * t)
-        s = analytic.closed_form_stats(MziParams(t, delta, 0.0))
+        s = analytic.closed_form_stats(t, delta, 0.0)
         assert s.p_c == pytest.approx((1 - 2 * t * r * np.exp(-4.0)) / 2, abs=1e-14)
 
 
@@ -126,7 +131,7 @@ class TestOracleGridAgreement:
             t = rng.uniform(0.05, 0.95)
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
-            s = analytic.closed_form_stats(MziParams(t, delta, alpha))
+            s = analytic.closed_form_stats(t, delta, alpha)
             out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
             worst = max(
                 worst,
@@ -164,7 +169,7 @@ class TestStatsGrid:
         ds = rng.uniform(0.0, 2.0, size=8)
         p_c, m_c, p_d, m_d = analytic.stats_grid(ts, ds, alpha=0.4)
         for i in range(8):
-            s = analytic.closed_form_stats(MziParams(ts[i], ds[i], 0.4))
+            s = analytic.closed_form_stats(ts[i], ds[i], 0.4)
             assert p_c[i] == pytest.approx(s.p_c, abs=1e-14)
             assert m_c[i] == pytest.approx(s.mean_c, abs=1e-12)
             assert p_d[i] == pytest.approx(s.p_d, abs=1e-14)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qif import cli
+from qif import analytic, cli, interferometer as mzi, wavepacket as wp
 
 CANONICAL = """\
 source width=1 mean=0
@@ -48,12 +48,17 @@ class TestSimulate:
 
 
 class TestSweep:
-    def _sweep(self, tmp_path, name, extra=()):
+    def _sweep(self, tmp_path, name, extra=(), t=(0.1, 0.9, 5), delta=(0.1, 1.9, 4)):
         out = tmp_path / name
-        argv = ["sweep", "--t", "0.1", "0.9", "5", "--delta", "0.1", "1.9", "4",
+        argv = ["sweep", "--t", *map(str, t), "--delta", *map(str, delta),
                 "--out", str(out), *extra]
         assert run(argv) == 0
         return out.read_text()
+
+    @staticmethod
+    def _csv(rows):
+        fmt = lambda x: format(np.nan if x is None else x, ".17g")
+        return [cli.CSV_HEADER] + [",".join(map(fmt, row)) for row in rows]
 
     def test_header_and_shape(self, tmp_path, capsys):
         text = self._sweep(tmp_path, "s.csv")
@@ -88,6 +93,44 @@ class TestSweep:
             vo = np.array([float(x) for x in lo.split(",")[:7]])
             vg = np.array([float(x) for x in lg.split(",")[:7]])
             np.testing.assert_allclose(vg, vo, atol=1e-6)
+
+    def test_oracle_rows_equal_closed_form_stats(self, tmp_path, capsys):
+        t_dark = 0.7071067811865476  # balanced splitter: port C is dark at delta = 0
+        text = self._sweep(tmp_path, "s.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.0, 3))
+        rows = []
+        for t in np.linspace(0.5, t_dark, 3):
+            for d in np.linspace(0.0, 1.0, 3):
+                s = analytic.closed_form_stats(t, d, 0.0)
+                residual = abs(s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
+                               - (1.0 - t * t) * d)
+                rows.append((t, d, 0.0, s.p_c, s.mean_c, s.p_d, s.mean_d, residual))
+        assert rows[-3][4] is None
+        assert text.splitlines() == self._csv(rows)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_grid_rows_equal_run_mzi(self, tmp_path, capsys, alpha):
+        t_dark = 0.7071067811865476
+        text = self._sweep(tmp_path, "g.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.5, 3),
+                           extra=["--backend", "grid", "--alpha", str(alpha)])
+        gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid())
+        rows = []
+        for t in np.linspace(0.5, t_dark, 3):
+            for d in np.linspace(0.0, 1.5, 3):
+                out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
+                residual = mzi.conservation_residual(out_c, out_d, t, d, 0.0)
+                rows.append((t, d, alpha, out_c.probability, out_c.mean_p,
+                             out_d.probability, out_d.mean_p, residual))
+        assert (rows[-3][4] is None) == (alpha == 0.0)
+        assert text.splitlines() == self._csv(rows)
+
+    def test_refused_sweep_leaves_out_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_text("earlier results\n")
+        argv = ["sweep", "--t", "0.1", "1.5", "3", "--delta", "0.1", "1.9", "3",
+                "--out", str(out)]
+        assert run(argv) == 3
+        assert "transmission" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
 
     def test_unwritable_path(self, tmp_path, capsys):
         argv = ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0.1", "1.9", "3",
@@ -190,8 +233,8 @@ class TestBec:
         assert mean == pytest.approx(0.0, abs=1e-9)
 
 
-# inputs that once escaped main as a traceback, or were silently ignored;
-# "{file}" stands for a circuit file holding the case's text
+# inputs that once escaped main as a traceback, or were silently ignored or
+# wrapped; "{file}" stands for a circuit file holding the case's text
 REFUSED = [
     ("bs_t_out_of_range", CANONICAL.replace("t=0.85", "t=1.5"),
      ["simulate", "{file}"], {}, "line 2"),
@@ -209,6 +252,15 @@ REFUSED = [
      ["simulate", "{file}"], {"QIF_GRID_N": "abc"}, "QIF_GRID_N"),
     ("grid_flag_zero", CANONICAL,
      ["simulate", "{file}", "--grid-n", "0"], {}, "power of two"),
+    ("kick_wraps_past_grid_edge",
+     CANONICAL.replace("mean=0", "mean=9").replace("t=0.85", "t=0.8")
+     .replace("delta=0.2", "delta=7.9"),
+     ["simulate", "{file}"], {}, "line 3"),
+    ("circuit_not_utf8", b"source width=1 mean=0\n\xff\xfe\n",
+     ["simulate", "{file}"], {}, "utf-8"),
+    ("sweep_t_out_of_range", None,
+     ["sweep", "--t", "0.1", "1.5", "3", "--delta", "0", "1", "3", "--out", "{file}"], {},
+     "transmission"),
 ]
 
 
@@ -217,7 +269,9 @@ REFUSED = [
                          ids=[case[0] for case in REFUSED])
 def test_bad_input_refused(tmp_path, capsys, monkeypatch, text, argv, env, fragment):
     path = tmp_path / "case.qif"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     for name, value in env.items():
         monkeypatch.setenv(name, value)

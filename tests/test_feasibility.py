@@ -59,18 +59,17 @@ class TestElectronReport:
 class TestRatioToMzi:
     def test_predicts_anomaly_at_reference(self):
         report = electron_report(ElectronScenario())
-        params = feasibility.ratio_to_mzi_params(report, t=0.73)
-        stats = analytic.closed_form_stats(params)
+        stats = analytic.closed_form_stats(0.73, report.ratio)
         assert stats.mean_c < 0
 
     def test_zero_ratio_no_anomaly(self):
         report = electron_report(ElectronScenario(voltage_v=0.0))
         for t in (0.3, 0.73, 0.9):
-            stats = analytic.closed_form_stats(feasibility.ratio_to_mzi_params(report, t))
+            stats = analytic.closed_form_stats(t, report.ratio)
             assert stats.mean_c == pytest.approx(0.0, abs=1e-15)
 
     def test_huge_ratio_no_anomaly(self):
         report = electron_report(ElectronScenario(voltage_v=20e-3))
         assert report.ratio > 8
-        stats = analytic.closed_form_stats(feasibility.ratio_to_mzi_params(report, 0.73))
+        stats = analytic.closed_form_stats(0.73, report.ratio)
         assert stats.mean_c >= 0

@@ -122,7 +122,7 @@ class TestPipelineEquivalence:
     def test_splitstep_arm_matches_analytic(self, gauss):
         pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64)
         out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse, PropagationConfig(mass=1e4))
-        s = analytic.closed_form_stats(analytic.MziParams(0.85, 0.2, 0.0))
+        s = analytic.closed_form_stats(0.85, 0.2, 0.0)
         assert out_c.probability == pytest.approx(s.p_c, abs=1e-4)
         assert out_c.mean_p == pytest.approx(s.mean_c, abs=1e-4)
         assert out_d.probability == pytest.approx(s.p_d, abs=1e-4)

@@ -117,6 +117,15 @@ class TestShift:
         with pytest.raises(AliasingError):
             wp.shift(gauss, 8.0)
 
+    def test_wrap_past_edge_refused(self, grid):
+        # within the |delta| guard, but the packet would land past p_max or p_min
+        for mean, delta in ((9.0, 7.9), (-9.0, -7.9)):
+            packet = wp.gaussian_init(GaussianParams(mean=mean), grid)
+            with pytest.raises(AliasingError, match="grid edge"):
+                wp.shift(packet, delta)
+            back = wp.shift(packet, -delta)
+            assert wp.mean_momentum(back) == pytest.approx(mean - delta, abs=1e-9)
+
     def test_composition(self, gauss):
         once = wp.shift(wp.shift(gauss, 0.3), 0.4)
         direct = wp.shift(gauss, 0.7)
