@@ -40,7 +40,8 @@ def gaussian_overlap(delta_over_w):
     Equals exp(-delta^2 / 4 W^2), elementwise; checked against numeric
     quadrature in the tests before being trusted anywhere.
     """
-    return np.exp(-0.25 * delta_over_w * delta_over_w)
+    with np.errstate(over="ignore"):  # a delta whose square overflows has K = 0
+        return np.exp(-0.25 * delta_over_w * delta_over_w)
 
 
 def stats_grid(t, delta, alpha=0.0):

@@ -66,6 +66,9 @@ def _grid_stats(tt, dd, alpha, grid):
 
 
 def cmd_sweep(args) -> int:
+    for name, value in zip(("--delta LO", "--delta HI", "--alpha"), (*args.delta[:2], args.alpha)):
+        if not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     grid = _grid(args)
     # step counts arrive as floats: refuse nan and inf before int() sees them
     if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):

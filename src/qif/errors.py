@@ -10,7 +10,7 @@ class ParameterError(QifError, ValueError):
 
 
 class GridTooNarrowError(QifError, ValueError):
-    """Momentum grid does not cover enough of the requested wavepacket."""
+    """Momentum grid does not cover or resolve the requested wavepacket."""
 
 
 class GridMismatchError(QifError, ValueError):

@@ -35,8 +35,10 @@ class ImpulsePulse:
     substeps: int = 1
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ParameterError("duration must be non-negative")
+        if not np.isfinite(self.force):
+            raise ParameterError(f"force must be finite, got {self.force}")
+        if not 0 <= self.duration < np.inf:
+            raise ParameterError(f"duration must be finite and non-negative, got {self.duration}")
         if self.substeps < 1:
             raise ParameterError("substeps must be >= 1")
 
@@ -72,12 +74,9 @@ def free_propagate(wf: PositionWavefunction, time: float,
     """Exact kinetic evolution exp(-i p^2 t / 2m), applied in momentum space."""
     if time == 0.0:
         return wf
-    phi = wp.to_momentum(wf)
-    p = phi.grid.p
-    evolved = MomentumWavefunction(
-        phi.grid, phi.amplitudes * np.exp(-0.5j * p * p * time / config.mass)
-    )
-    return wp.to_position(evolved)
+    grid = wf.grid
+    phi = grid.z_to_p(wf.amplitudes) * np.exp(-0.5j * grid.p * grid.p * time / config.mass)
+    return PositionWavefunction(grid, grid.p_to_z(phi))
 
 
 def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
@@ -92,22 +91,18 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     if pulse.duration == 0.0:
         return wf
     _check_leakage(wf)
+    grid = wf.grid
     dt = pulse.duration / pulse.substeps
-    z = wf.grid.z
-    half_ramp = np.exp(0.5j * pulse.force * z * dt)  # exp(-i V dt / 2), V = -F z
+    half_ramp = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
+    ramp = half_ramp * half_ramp
+    kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
     psi = wf.amplitudes * half_ramp
-    kinetic = None
     for step in range(pulse.substeps):
-        phi = wp.to_momentum(PositionWavefunction(wf.grid, psi))
-        if kinetic is None:
-            p = phi.grid.p
-            kinetic = np.exp(-0.5j * p * p * dt / config.mass)
-        psi = wp.to_position(
-            MomentumWavefunction(phi.grid, phi.amplitudes * kinetic)
-        ).amplitudes
+        psi = grid.p_to_z(grid.z_to_p(psi) * kinetic)
         # merge adjacent potential half-steps except after the last one
-        psi = psi * (half_ramp * half_ramp if step < pulse.substeps - 1 else half_ramp)
-    out = PositionWavefunction(wf.grid, psi)
+        psi = psi * (ramp if step < pulse.substeps - 1 else half_ramp)
+    # a non-finite value at any substep has spread to every node: refused here
+    out = PositionWavefunction(grid, psi)
     _check_leakage(out)
     return out
 

@@ -67,6 +67,29 @@ class GridSpec:
     def z(self) -> np.ndarray:
         return (np.arange(self.n_points) - self.n_points // 2) * self.dz
 
+    @cached_property
+    def _signs(self) -> np.ndarray:  # exp(-i pi k)
+        return np.where(np.arange(self.n_points) % 2, -1.0, 1.0)
+
+    @cached_property
+    def _z_factor(self) -> np.ndarray:
+        return self.dp / np.sqrt(2.0 * np.pi) * np.exp(1j * self.p_min * self.z)
+
+    @cached_property
+    def _p_ramp(self) -> np.ndarray:
+        return np.exp(-1j * self.p_min * self.z)
+
+    def p_to_z(self, phi: np.ndarray) -> np.ndarray:
+        """psi(z_j) = dp / sqrt(2 pi) * sum_k phi(p_k) exp(i p_k z_j), by one FFT.
+
+        The cached signs and phases carry the grid offsets; z_to_p inverts it.
+        """
+        return self.n_points * np.fft.ifft(phi * self._signs) * self._z_factor
+
+    def z_to_p(self, psi: np.ndarray) -> np.ndarray:
+        """Inverse of p_to_z."""
+        return np.fft.fft(psi * self._p_ramp) * self._signs * (self.dz / np.sqrt(2.0 * np.pi))
+
 
 def default_grid(n_points: int = DEFAULT_N) -> GridSpec:
     """Grid used throughout: supports kicks up to 2W with aliasing margin."""
@@ -74,8 +97,8 @@ def default_grid(n_points: int = DEFAULT_N) -> GridSpec:
 
 
 @dataclass(frozen=True)
-class MomentumWavefunction:
-    """Complex amplitudes Phi(p_k) on a GridSpec. Immutable."""
+class _GridAmplitudes:
+    """Finite complex amplitudes, one per node of a GridSpec. Immutable."""
 
     grid: GridSpec
     amplitudes: np.ndarray
@@ -90,19 +113,13 @@ class MomentumWavefunction:
         object.__setattr__(self, "amplitudes", amp)
 
 
-@dataclass(frozen=True)
-class PositionWavefunction:
+# Siblings, not parent and child: norm tells them apart with isinstance.
+class MomentumWavefunction(_GridAmplitudes):
+    """Complex amplitudes Phi(p_k) on a GridSpec."""
+
+
+class PositionWavefunction(_GridAmplitudes):
     """Complex amplitudes psi(z_j) on the conjugate grid of a GridSpec."""
-
-    grid: GridSpec
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n_points,):
-            raise ParameterError("amplitude array does not match grid")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True)
@@ -120,9 +137,10 @@ class GaussianParams:
 def gaussian_init(params: GaussianParams, grid: GridSpec) -> MomentumWavefunction:
     """Sample the unit-norm Gaussian pi^(-1/4) W^(-1/2) exp(-(p-mu)^2 / 2W^2).
 
-    The grid must span at least [mu - 6W, mu + 6W]; amplitudes are the exact
-    continuum samples (no renormalization), which leaves the discrete norm
-    within 1e-10 of one.
+    The grid must span at least [mu - 6W, mu + 6W] and resolve W (dp <= W).
+    Amplitudes are the exact continuum samples (no renormalization); the
+    discrete norm is off by about 2 exp(-pi^2 W^2 / dp^2): 1e-4 at dp = W,
+    below 1e-16 for dp <= W/2.
     """
     w, mu = params.width, params.mean
     if grid.p_min > mu - 6 * w or grid.p_max < mu + 6 * w:
@@ -130,15 +148,14 @@ def gaussian_init(params: GaussianParams, grid: GridSpec) -> MomentumWavefunctio
             f"grid [{grid.p_min}, {grid.p_max}] does not cover "
             f"[{mu - 6 * w}, {mu + 6 * w}]"
         )
+    if grid.dp > w:
+        raise GridTooNarrowError(f"grid step dp={grid.dp} does not resolve width {w}")
     amp = np.pi ** -0.25 / np.sqrt(w) * np.exp(-0.5 * ((grid.p - mu) / w) ** 2)
     return MomentumWavefunction(grid, amp.astype(complex))
 
 
 def norm(wf) -> float:
-    """Integral of |amplitude|^2 over the grid (Riemann sum).
-
-    Works for both momentum- and position-space wavefunctions.
-    """
+    """Integral of |amplitude|^2 over the grid (Riemann sum), in p or in z."""
     step = wf.grid.dp if isinstance(wf, MomentumWavefunction) else wf.grid.dz
     return float(np.sum(np.abs(wf.amplitudes) ** 2) * step)
 
@@ -153,37 +170,19 @@ def mean_momentum(wf: MomentumWavefunction) -> float:
 
 def variance_momentum(wf: MomentumWavefunction) -> float:
     """Second central moment of |Phi(p)|^2. Raises on dark states."""
-    n = norm(wf)
-    if n < DARK_THRESHOLD:
-        raise ZeroNormError(f"norm {n} below dark-port threshold")
-    mean = mean_momentum(wf)
+    mean = mean_momentum(wf)  # raises on a dark state
     prob = np.abs(wf.amplitudes) ** 2
-    return float(np.sum((wf.grid.p - mean) ** 2 * prob) * wf.grid.dp / n)
+    return float(np.sum((wf.grid.p - mean) ** 2 * prob) * wf.grid.dp / norm(wf))
 
 
 def to_position(wf: MomentumWavefunction) -> PositionWavefunction:
-    """Unitary transform to position space.
-
-    psi(z_j) = dp / sqrt(2 pi) * sum_k Phi(p_k) exp(i p_k z_j), evaluated
-    with an FFT plus the phase factors that account for the grid offsets.
-    Exactly inverted by to_momentum; Parseval holds to rounding.
-    """
-    grid = wf.grid
-    n = grid.n_points
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)  # exp(-i pi k)
-    psi = n * np.fft.ifft(wf.amplitudes * signs)
-    psi *= grid.dp / np.sqrt(2.0 * np.pi) * np.exp(1j * grid.p_min * grid.z)
-    return PositionWavefunction(grid, psi)
+    """Unitary transform to position space (GridSpec.p_to_z)."""
+    return PositionWavefunction(wf.grid, wf.grid.p_to_z(wf.amplitudes))
 
 
 def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
-    """Inverse of to_position."""
-    grid = wf.grid
-    n = grid.n_points
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
-    phi = np.fft.fft(wf.amplitudes * np.exp(-1j * grid.p_min * grid.z)) * signs
-    phi *= grid.dz / np.sqrt(2.0 * np.pi)
-    return MomentumWavefunction(grid, phi)
+    """Inverse of to_position (GridSpec.z_to_p)."""
+    return MomentumWavefunction(wf.grid, wf.grid.z_to_p(wf.amplitudes))
 
 
 def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
@@ -211,9 +210,9 @@ def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
     if wrapped > WRAP_TOLERANCE * total:
         raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
                             "past the grid edge")
-    psi = to_position(wf)
-    kicked = PositionWavefunction(wf.grid, psi.amplitudes * np.exp(1j * delta * wf.grid.z))
-    return to_momentum(kicked)
+    grid = wf.grid
+    psi = grid.p_to_z(amp)
+    return MomentumWavefunction(grid, grid.z_to_p(psi * np.exp(1j * delta * grid.z)))
 
 
 def overlap(wf1: MomentumWavefunction, wf2: MomentumWavefunction) -> complex:

@@ -1,5 +1,7 @@
 """Closed-form Gaussian statistics, validated against independent quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -47,6 +49,12 @@ class TestGaussianOverlap:
 
     def test_vanishes_at_infinity(self):
         assert analytic.gaussian_overlap(50.0) < 1e-200
+
+    def test_overflowing_square_gives_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = analytic.closed_form_stats(0.6, 1e200)
+        assert s.p_c == s.p_d == 0.5
 
 
 class TestClosedFormStats:

@@ -1,9 +1,17 @@
 """Command-line surface: subcommands, exit codes, CSV output."""
 
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qif import analytic, cli, interferometer as mzi, wavepacket as wp
+import program_gen
+from qif import analytic, circuitfile, cli, interferometer as mzi, wavepacket as wp
 
 CANONICAL = """\
 source width=1 mean=0
@@ -261,6 +269,18 @@ REFUSED = [
     ("sweep_t_out_of_range", None,
      ["sweep", "--t", "0.1", "1.5", "3", "--delta", "0", "1", "3", "--out", "{file}"], {},
      "transmission"),
+    ("sweep_delta_infinite", None,
+     ["sweep", "--t", "0.1", "0.5", "3", "--delta", "0", "inf", "3", "--out", "{file}"], {},
+     "--delta HI must be finite, got inf"),
+    ("sweep_alpha_nan", None,
+     ["sweep", "--t", "0.1", "0.5", "3", "--delta", "0", "1", "3", "--alpha", "nan",
+      "--out", "{file}"], {}, "--alpha must be finite, got nan"),
+    ("propagate_force_infinite", None, ["propagate", "--force", "inf"], {},
+     "force must be finite, got inf"),
+    ("propagate_tau_nan", None, ["propagate", "--tau", "nan"], {},
+     "duration must be finite and non-negative, got nan"),
+    ("source_narrower_than_grid_step", CANONICAL.replace("width=1", "width=0.001"),
+     ["simulate", "{file}"], {}, "line 1"),
 ]
 
 
@@ -279,4 +299,43 @@ def test_bad_input_refused(tmp_path, capsys, monkeypatch, text, argv, env, fragm
     captured = capsys.readouterr()
     assert code in (2, 3)
     assert fragment in captured.err
+    assert captured.err.count("\n") == 1  # the one message, no warnings
     assert captured.out == ""
+    assert path.exists() == (text is not None)  # a refused sweep writes no file
+
+
+class TestFuzzSimulate:
+    """Any circuit text exits 0, 2 or 3; an accepted run keeps its invariants."""
+
+    @staticmethod
+    def _check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.qif")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run(["simulate", path])
+        assert code in (0, 2, 3)
+        program = circuitfile.parse(text) if code == 0 else None
+        if program is None or "recombine" not in {ins.name for ins in program.instructions}:
+            return
+        # run it again with a conservation report, selecting a port if it did not
+        selects = any(ins.name == "select" for ins in program.instructions)
+        checked = circuitfile.serialize(program) + ("" if selects else "select port=C\n")
+        result = circuitfile.execute(circuitfile.parse(checked + "report conservation\n"))
+        assert abs(result.outcome_c.probability + result.outcome_d.probability - 1) <= 1e-9
+        assert result.conservation_residual <= 1e-8
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), mutate=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_programs(self, seed, mutate):
+        rng = np.random.default_rng(seed)
+        text = program_gen.random_program_text(rng)
+        if mutate:
+            text, _ = program_gen.mutate_program_text(text, rng)
+        self._check(text)
+
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, text):
+        self._check(text)

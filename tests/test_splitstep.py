@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qif import analytic, splitstep as ss, wavepacket as wp
-from qif.errors import BoundaryLeakError
+from qif.errors import BoundaryLeakError, ParameterError
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams, PositionWavefunction
 
@@ -89,6 +89,20 @@ class TestApplyImpulse:
         pulse = ImpulsePulse(force=0.01, duration=10.0, substeps=10000)
         out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
         assert abs(wp.norm(out) - wp.norm(psi0)) <= 1e-9
+
+    def test_non_finite_substep_refused(self, psi0):
+        # dt / mass overflows, so every kinetic phase is nan: the check on the
+        # result still catches it, though no substep builds a wavefunction
+        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=4)
+        with np.errstate(all="ignore"), pytest.raises(ParameterError,
+                                                       match="non-finite amplitudes"):
+            ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e-320))
+
+    @pytest.mark.parametrize("force, duration", [(np.inf, 0.2), (1.0, np.inf), (1.0, np.nan),
+                                                 (np.nan, 0.2), (1.0, -0.1)])
+    def test_pulse_refuses_non_finite_or_negative(self, force, duration):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ImpulsePulse(force=force, duration=duration)
 
     def test_boundary_leak_detected(self):
         # packet parked at the window edge must be refused

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from qif import interferometer as mzi
 from qif import spinor, wavepacket as wp
-from qif.errors import AliasingError, GridMismatchError, GridTooNarrowError, ZeroNormError
+from qif.errors import (AliasingError, GridMismatchError, GridTooNarrowError, ParameterError,
+                        ZeroNormError)
 from qif.interferometer import TwoPathState
 from qif.wavepacket import GaussianParams, GridSpec, MomentumWavefunction
 
@@ -52,6 +53,12 @@ class TestGaussianInit:
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridTooNarrowError):
             wp.gaussian_init(GaussianParams(width=4.0), GridSpec(256, -16.0, 16.0))
+
+    def test_unresolved_width_rejected(self, grid):
+        # dp = 1/128 on the default grid; the check is dp <= W
+        with pytest.raises(GridTooNarrowError, match="resolve"):
+            wp.gaussian_init(GaussianParams(width=0.001), grid)
+        wp.gaussian_init(GaussianParams(width=grid.dp), grid)
 
     def test_norm_one_for_many_parameters(self, rng):
         grid = wp.default_grid()
@@ -200,6 +207,12 @@ class TestFourierPair:
         wf = MomentumWavefunction(grid, amp)
         back = wp.to_momentum(wp.to_position(wf))
         np.testing.assert_allclose(back.amplitudes, wf.amplitudes, atol=1e-12)
+
+    def test_position_state_refuses_nan(self, grid):
+        amp = np.ones(grid.n_points, dtype=complex)
+        amp[7] = np.nan
+        with pytest.raises(ParameterError, match="non-finite amplitudes"):
+            wp.PositionWavefunction(grid, amp)
 
     def test_parseval(self, gauss):
         psi = wp.to_position(gauss)
