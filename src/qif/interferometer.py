@@ -10,6 +10,10 @@ Conventions: the first beam splitter has real transmission t and reflection
 i*r with r = sqrt(1 - t^2); the second beam splitter is fixed balanced with
 coefficients 1/sqrt(2) (transmission) and i/sqrt(2) (reflection).  An
 unobservable global phase on port D is dropped.
+
+Every run keeps P_C + P_D = 1 and the momentum balance of the two arms:
+conservation_residual writes the balance, and check_ports judges both
+invariants against their named limits, for one run or a whole surface.
 """
 
 from dataclasses import dataclass, replace
@@ -18,11 +22,16 @@ from typing import Optional
 import numpy as np
 
 from . import wavepacket as wp
-from .errors import GridMismatchError, ParameterError
+from .errors import GridMismatchError, ParameterError, QifError
 from .wavepacket import DARK_THRESHOLD, MomentumWavefunction
 
 _SQRT2 = np.sqrt(2.0)
 _MODE_FIELDS = {"A": "path_a", "B": "path_b"}
+
+#: Limits on |P_C + P_D - 1| and on the momentum residual (grid runs, closed forms).
+UNITARITY_TOLERANCE = 1e-9
+CONSERVATION_TOLERANCE = 1e-8
+ORACLE_CONSERVATION_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,23 +156,36 @@ def port_stats(raw: MomentumWavefunction, port: str) -> PortOutcome:
     )
 
 
-def _weighted_mean(outcome: PortOutcome) -> float:
-    # P_j * <p>_j; a dark port contributes nothing (raw moment < threshold).
-    if outcome.is_dark:
-        return 0.0
-    return outcome.probability * outcome.mean_p
-
-
-def conservation_residual(out_c: PortOutcome, out_d: PortOutcome,
-                          t: float, delta: float, mean_in: float) -> float:
-    """|P_C <p>_C + P_D <p>_D - (t^2 mean_in + r^2 (mean_in + delta))|.
+def conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0):
+    """|P_C <p>_C + P_D <p>_D - (t^2 mean_in + r^2 (mean_in + delta))|, broadcast.
 
     The post-selected averages, weighted by their probabilities, must
-    reproduce the unconditional momentum balance of the two arms.
+    reproduce the unconditional momentum balance of the two arms.  A nan or
+    None mean marks a dark port, which carries no momentum.
     """
-    r_sq = 1.0 - t * t
-    expected = t * t * mean_in + r_sq * (mean_in + delta)
-    return abs(_weighted_mean(out_c) + _weighted_mean(out_d) - expected)
+    mean_c, mean_d = np.asarray(mean_c, dtype=float), np.asarray(mean_d, dtype=float)
+    moment = (np.where(np.isnan(mean_c), 0.0, p_c * mean_c)
+              + np.where(np.isnan(mean_d), 0.0, p_d * mean_d))
+    return np.abs(moment - (t * t * mean_in + (1.0 - t * t) * (mean_in + delta)))
+
+
+def check_ports(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0,
+                tolerance=CONSERVATION_TOLERANCE):
+    """The residual of every cell, or QifError at the first (t-major) that fails.
+
+    Unitarity is judged before conservation.  The residual rounds like
+    4e-16 |delta|, so past |delta| = 100 the conservation limit grows with it.
+    """
+    residual = conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in)
+    t, delta, p_sum, residual = np.broadcast_arrays(t, delta, np.add(p_c, p_d), residual)
+    not_unitary = np.abs(p_sum - 1.0) > UNITARITY_TOLERANCE
+    unbalanced = residual > tolerance * np.maximum(1.0, np.abs(delta) / 100.0)
+    bad = np.flatnonzero(not_unitary | unbalanced)
+    if bad.size:
+        i = bad[0]
+        broken = "unitarity" if not_unitary.flat[i] else "conservation"
+        raise QifError(f"{broken} violated at t={t.flat[i]}, delta={delta.flat[i]}")
+    return residual
 
 
 def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float, alpha: float = 0.0):

@@ -11,6 +11,7 @@ No absorbing boundaries: runs are required to keep the packet away from
 the edges of the position window, and this is checked.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,10 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     _check_leakage(wf)
     grid = wf.grid
     dt = pulse.duration / pulse.substeps
+    p_edge = max(abs(grid.p_min), abs(grid.p_max))
+    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
+        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
+                             f"at mass={config.mass}, dt={dt}")
     half_ramp = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
     ramp = half_ramp * half_ramp
     kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)

@@ -186,6 +186,12 @@ def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
 
 
 def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
+    """Refuse |delta| of a quarter of the grid span or more.
+
+    For shift, which also tests where the norm lands, this only refuses kicks
+    that would not wrap.  It stays: it is the only guard kick_fidelity has,
+    and the benchmark's aliasing probes (kicks of 8-9.5 W) require exit 3.
+    """
     span = grid.p_max - grid.p_min
     if abs(delta) >= span / 4:
         raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")

@@ -115,9 +115,8 @@ def test_criterion_5_conservation():
         r_sq_delta = (1 - t * t) * delta
 
         out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
-        worst_grid = max(
-            worst_grid, mzi.conservation_residual(out_c, out_d, t, delta, 0.0)
-        )
+        worst_grid = max(worst_grid, mzi.conservation_residual(
+            out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p, t, delta))
         s = analytic.closed_form_stats(t, delta, alpha)
         total = s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
         worst_oracle = max(worst_oracle, abs(total - r_sq_delta))

@@ -102,17 +102,29 @@ class TestSweep:
             vg = np.array([float(x) for x in lg.split(",")[:7]])
             np.testing.assert_allclose(vg, vo, atol=1e-6)
 
-    def test_oracle_rows_equal_closed_form_stats(self, tmp_path, capsys):
-        t_dark = 0.7071067811865476  # balanced splitter: port C is dark at delta = 0
-        text = self._sweep(tmp_path, "s.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.0, 3))
+    @staticmethod
+    def _oracle_rows(t, delta):
         rows = []
-        for t in np.linspace(0.5, t_dark, 3):
-            for d in np.linspace(0.0, 1.0, 3):
+        for t in np.linspace(*t):
+            for d in np.linspace(*delta):
                 s = analytic.closed_form_stats(t, d, 0.0)
                 residual = abs(s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
                                - (1.0 - t * t) * d)
                 rows.append((t, d, 0.0, s.p_c, s.mean_c, s.p_d, s.mean_d, residual))
+        return rows
+
+    def test_oracle_rows_equal_closed_form_stats(self, tmp_path, capsys):
+        t_dark = 0.7071067811865476  # balanced splitter: port C is dark at delta = 0
+        text = self._sweep(tmp_path, "s.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.0, 3))
+        rows = self._oracle_rows((0.5, t_dark, 3), (0.0, 1.0, 3))
         assert rows[-3][4] is None
+        assert text.splitlines() == self._csv(rows)
+
+    def test_large_delta_surface_accepted(self, tmp_path, capsys):
+        # the residual rounds like 1e-16 |delta|: a correct surface must not be refused
+        text = self._sweep(tmp_path, "big.csv", t=(0.1, 0.5, 3), delta=(0.0, 1e200, 3))
+        rows = self._oracle_rows((0.1, 0.5, 3), (0.0, 1e200, 3))
+        assert max(row[-1] for row in rows) > 1e-12
         assert text.splitlines() == self._csv(rows)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -125,7 +137,8 @@ class TestSweep:
         for t in np.linspace(0.5, t_dark, 3):
             for d in np.linspace(0.0, 1.5, 3):
                 out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
-                residual = mzi.conservation_residual(out_c, out_d, t, d, 0.0)
+                residual = mzi.conservation_residual(out_c.probability, out_c.mean_p,
+                                                     out_d.probability, out_d.mean_p, t, d)
                 rows.append((t, d, alpha, out_c.probability, out_c.mean_p,
                              out_d.probability, out_d.mean_p, residual))
         assert (rows[-3][4] is None) == (alpha == 0.0)
@@ -158,6 +171,24 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         dev = float(out.split("max |oracle - grid| = ")[1].split(" ")[0])
         assert dev <= 1e-6
+
+    def test_worst_sample_equals_scalar_loop(self, capsys):
+        assert run(["oracle-check", "--samples", "20", "--seed", "7"]) == 0
+        rng = np.random.default_rng(7)
+        gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid())
+        worst, worst_at = 0.0, None
+        for _ in range(20):
+            t, d = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0)
+            alpha = rng.uniform(0.0, 2 * np.pi)
+            s = analytic.closed_form_stats(t, d, alpha)
+            out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
+            dev = max(abs(s.p_c - out_c.probability), abs(s.p_d - out_d.probability),
+                      abs(s.mean_c - out_c.mean_p), abs(s.mean_d - out_d.mean_p))
+            if dev > worst:
+                worst, worst_at = dev, (t, d, alpha)
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"max |oracle - grid| = {worst:.3e} at t = {worst_at[0]:.6f}, "
+            f"delta = {worst_at[1]:.6f}, alpha = {worst_at[2]:.6f}")
 
     def test_zero_samples(self, capsys):
         assert run(["oracle-check", "--samples", "0", "--seed", "1"]) == 0
@@ -281,6 +312,12 @@ REFUSED = [
      "duration must be finite and non-negative, got nan"),
     ("source_narrower_than_grid_step", CANONICAL.replace("width=1", "width=0.001"),
      ["simulate", "{file}"], {}, "line 1"),
+    # dp < W, but the sampled norm is off by 1e-4: P_C + P_D - 1 = 1.03e-4
+    ("circuit_breaks_unitarity",
+     CANONICAL.replace("width=1", "width=0.0078125").replace("t=0.85", "t=0.6")
+     .replace("delta=0.2", "delta=0.001"),
+     ["simulate", "{file}"], {}, "line 4: recombine: unitarity violated"),
+    ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], {}, "mass=1e-320"),
 ]
 
 

@@ -1,10 +1,13 @@
 """Two-path pipeline: beam splitters, kicks, post-selection, conservation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qif import interferometer as mzi
 from qif import wavepacket as wp
+from qif.errors import QifError
 from qif.interferometer import BeamSplitterCoeffs
 from qif.wavepacket import GaussianParams, MomentumWavefunction
 
@@ -125,7 +128,50 @@ class TestConservation:
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
             out_c, out_d = mzi.run_mzi(gauss, t, delta, alpha)
-            assert mzi.conservation_residual(out_c, out_d, t, delta, 0.0) <= 1e-8
+            assert mzi.conservation_residual(out_c.probability, out_c.mean_p, out_d.probability,
+                                             out_d.mean_p, t, delta) <= 1e-8
+
+    def test_broadcast_equals_scalar_loop(self, rng):
+        p_c, t, delta = rng.uniform(0.0, 1.0, (3, 40))
+        mean_c, mean_d = rng.normal(0.0, 2.0, (2, 40))
+        mean_c[::5] = np.nan  # dark ports
+        mean_d[2::7] = np.nan
+        mean_in = -0.37
+        got = mzi.conservation_residual(p_c, mean_c, 1.0 - p_c, mean_d, t, delta, mean_in)
+        want = []
+        for pc, mc, md, tk, dk in zip(p_c.tolist(), mean_c.tolist(), mean_d.tolist(),
+                                      t.tolist(), delta.tolist()):
+            moment = ((0.0 if np.isnan(mc) else pc * mc)
+                      + (0.0 if np.isnan(md) else (1.0 - pc) * md))
+            want.append(abs(moment - (tk * tk * mean_in + (1.0 - tk * tk) * (mean_in + dk))))
+        assert np.array_equal(got, want)
+        assert mzi.conservation_residual(0.5, None, 0.5, 0.4, 0.6, 1.0) == abs(0.2 - 0.64)
+
+    def test_check_refuses_just_above_unitarity_limit(self):
+        mzi.check_ports(0.5, np.nan, 0.5 + 0.9e-9, np.nan, 1.0, 0.0)
+        with pytest.raises(QifError, match=r"unitarity violated at t=1.0, delta=0.0"):
+            mzi.check_ports(0.5, np.nan, 0.5 + 1.1e-9, np.nan, 1.0, 0.0)
+
+    @pytest.mark.parametrize("delta", [1.0, 1e200])
+    def test_check_refuses_just_above_conservation_limit(self, delta):
+        limit = mzi.CONSERVATION_TOLERANCE * max(1.0, delta / 100.0)
+        balance = (1.0 - 0.6 * 0.6) * delta  # P_C = P_D = 1/2: the residual is half the excess
+        residual = mzi.check_ports(0.5, balance + 1.8 * limit, 0.5, balance, 0.6, delta)
+        assert residual == pytest.approx(0.9 * limit, rel=1e-5)
+        with pytest.raises(QifError, match=re.escape(f"conservation violated at t=0.6, "
+                                                     f"delta={delta}")):
+            mzi.check_ports(0.5, balance + 2.2 * limit, 0.5, balance, 0.6, delta)
+
+    def test_check_names_first_failing_cell(self):
+        tt, dd = np.meshgrid([0.2, 0.4], [0.0, 1.0, 2.0], indexing="ij")
+        p_c, p_d = np.full(tt.shape, 0.5), np.full(tt.shape, 0.5)
+        p_c[1, 0] += 1e-6  # unitarity breaks at (0.4, 0)
+        mean = (1.0 - tt * tt) * dd
+        with pytest.raises(QifError, match=r"unitarity violated at t=0.4, delta=0.0"):
+            mzi.check_ports(p_c, mean, p_d, mean, tt, dd)
+        mean[0, 2] += 1.0  # conservation breaks at (0.2, 2), earlier in t-major order
+        with pytest.raises(QifError, match=r"conservation violated at t=0.2, delta=2.0"):
+            mzi.check_ports(p_c, mean, p_d, mean, tt, dd)
 
     def test_no_kick_path(self, gauss):
         out_c, out_d = mzi.run_mzi(gauss, 1.0, 0.2)
