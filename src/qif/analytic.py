@@ -10,28 +10,15 @@ and kicked Gaussians, and r = sqrt(1 - t^2):
 (upper signs: port C).  These are derivation results, validated against
 grid quadrature in the test suite; they serve as the independent oracle
 for every grid computation and for fast parameter sweeps.  stats_grid is
-the one place they are written: closed_form_stats is its scalar view, and
-sweeps evaluate a whole t x delta surface with one call.
+the one place they are written and returns a PortStats of arrays, with nan
+for a dark port's mean; closed_form_stats is its scalar view, and `qif
+sweep` evaluates a whole t x delta surface with one call.
 """
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
-from .interferometer import BeamSplitterCoeffs
+from .interferometer import BeamSplitterCoeffs, PortStats
 from .wavepacket import DARK_THRESHOLD
-
-
-@dataclass(frozen=True)
-class ClosedFormStats:
-    """Probabilities and conditional means at both ports (units of W)."""
-
-    p_c: float
-    p_d: float
-    mean_c: Optional[float]
-    mean_d: Optional[float]
 
 
 def gaussian_overlap(delta_over_w):
@@ -47,8 +34,8 @@ def gaussian_overlap(delta_over_w):
 def stats_grid(t, delta, alpha=0.0):
     """The closed forms, broadcast over t, delta and alpha.
 
-    Returns (p_c, mean_c, p_d, mean_d); means are nan where the port is
-    dark.  t must lie in [0, 1]; callers check it with BeamSplitterCoeffs.
+    Means are nan where the port is dark.  t must lie in [0, 1]; callers
+    check it with BeamSplitterCoeffs.
     """
     t = np.asarray(t, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -59,31 +46,10 @@ def stats_grid(t, delta, alpha=0.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_c = np.where(p_c > DARK_THRESHOLD, delta * (r * r - cross) / (2.0 * p_c), np.nan)
         mean_d = np.where(p_d > DARK_THRESHOLD, delta * (r * r + cross) / (2.0 * p_d), np.nan)
-    return p_c, mean_c, p_d, mean_d
+    return PortStats(p_c, mean_c, p_d, mean_d)
 
 
-def closed_form_stats(t: float, delta_over_w: float, alpha: float = 0.0) -> ClosedFormStats:
-    """Analytic P_C, P_D, <p>_C, <p>_D for a Gaussian input: one cell of stats_grid."""
+def closed_form_stats(t: float, delta_over_w: float, alpha: float = 0.0) -> PortStats:
+    """Analytic P_C, <p>_C, P_D, <p>_D for a Gaussian input: one cell of stats_grid."""
     BeamSplitterCoeffs(t)
-    p_c, mean_c, p_d, mean_d = (float(x) for x in stats_grid(t, delta_over_w, alpha))
-    return ClosedFormStats(p_c=p_c, p_d=p_d, mean_c=None if np.isnan(mean_c) else mean_c,
-                           mean_d=None if np.isnan(mean_d) else mean_d)
-
-
-def find_min_mean_c(t_range, delta_range, resolution: int):
-    """Dense grid search for the most negative <p>_C at alpha = 0.
-
-    resolution is the number of samples per axis; returns (t*, delta*,
-    min value).  A plain grid search keeps the result reproducible.
-    """
-    t_lo, t_hi = t_range
-    d_lo, d_hi = delta_range
-    if not (t_hi > t_lo and d_hi > d_lo) or resolution < 2:
-        raise ParameterError("ranges must be nonempty with resolution >= 2")
-    ts = np.linspace(t_lo, t_hi, resolution)
-    ds = np.linspace(d_lo, d_hi, resolution)
-    tt, dd = np.meshgrid(ts, ds, indexing="ij")
-    _, mean_c, _, _ = stats_grid(tt, dd)
-    flat = np.where(np.isnan(mean_c), np.inf, mean_c)
-    i, j = np.unravel_index(np.argmin(flat), flat.shape)
-    return float(tt[i, j]), float(dd[i, j]), float(mean_c[i, j])
+    return PortStats(*map(float, stats_grid(t, delta_over_w, alpha)))

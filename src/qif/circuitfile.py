@@ -13,10 +13,11 @@ pipeline:
     report moments
 
 Numbers are plain decimals with an optional exponent; units are W for
-momenta and radians for phases.  Duplicate keys are an error (silent
-override would hide experiment mistakes), and instructions must appear in
-pipeline order: one source first, then one bs, any kicks/phases, then
-recombine, select, report(s).
+momenta and radians for phases.  A bs t outside [0, 1] or a source width
+that is not positive is a parse error at its token.  Duplicate keys are an
+error (silent override would hide experiment mistakes), and instructions
+must appear in pipeline order: one source first, then one bs, any
+kicks/phases, then recombine, select, report(s).
 """
 
 import math
@@ -26,7 +27,7 @@ from typing import Optional
 
 from . import interferometer as mzi
 from . import wavepacket as wp
-from .errors import CircuitRuntimeError, QifError
+from .errors import CircuitRuntimeError, ParameterError, QifError
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -35,8 +36,8 @@ REPORT_KINDS = ("moments", "wavefunction", "conservation")
 
 # key schema per instruction; None marks a bare-word argument (report kind)
 _SCHEMAS = {
-    "source": {"width": "number", "mean": "number"},
-    "bs": {"t": "number"},
+    "source": {"width": "positive", "mean": "number"},
+    "bs": {"t": "unit"},
     "kick": {"path": "path", "delta": "number"},
     "phase": {"path": "path", "alpha": "number"},
     "recombine": {},
@@ -56,6 +57,12 @@ class ParseError(QifError):
         self.token = token
 
 
+# range kinds: numbers that must also pass the check the run applies, so a
+# bad value is refused at its token, in the run's wording
+_RANGE_CHECKS = {"unit": mzi.BeamSplitterCoeffs,
+                 "positive": lambda width: wp.GaussianParams(width=width)}
+
+
 @dataclass(frozen=True)
 class Instruction:
     name: str
@@ -69,12 +76,17 @@ class CircuitProgram:
 
 
 def _parse_value(kind, key, raw, line_no, column):
-    if kind == "number":
+    if kind == "number" or kind in _RANGE_CHECKS:
         if not _NUMBER_RE.match(raw):
             raise ParseError(f"malformed number for {key}: {raw!r}", line_no, column, raw)
         value = float(raw)
         if not math.isfinite(value):
             raise ParseError(f"number out of range for {key}: {raw!r}", line_no, column, raw)
+        if kind in _RANGE_CHECKS:
+            try:
+                _RANGE_CHECKS[kind](value)
+            except ParameterError as exc:
+                raise ParseError(str(exc), line_no, column, raw) from None
         return value
     if kind == "path":
         if raw not in ("A", "B"):
@@ -125,6 +137,9 @@ def _parse_line(line, line_no):
 _STAGE = {"source": 0, "bs": 1, "kick": 2, "phase": 2, "recombine": 3,
           "select": 4, "report": 5}
 _ONCE = ("source", "bs", "recombine", "select")
+# the instruction each one needs earlier in the program
+_REQUIRES = {"kick": "bs", "phase": "bs", "recombine": "bs", "select": "recombine",
+             "report": "select"}
 
 
 def _validate(instructions):
@@ -142,14 +157,9 @@ def _validate(instructions):
         if s < stage:
             raise ParseError(f"{ins.name} out of order", ins.line)
         stage = max(stage, s)
-        if ins.name in ("kick", "phase") and "bs" not in seen:
-            raise ParseError(f"{ins.name} requires bs first", ins.line)
-        if ins.name == "recombine" and "bs" not in seen:
-            raise ParseError("recombine requires bs first", ins.line)
-        if ins.name == "select" and "recombine" not in seen:
-            raise ParseError("select requires recombine first", ins.line)
-        if ins.name == "report" and "select" not in seen:
-            raise ParseError("report requires select first", ins.line)
+        need = _REQUIRES.get(ins.name)
+        if need is not None and need not in seen:
+            raise ParseError(f"{ins.name} requires {need} first", ins.line)
 
 
 def parse(text: str) -> CircuitProgram:

@@ -55,15 +55,14 @@ def cmd_simulate(args) -> int:
 
 
 def _grid_stats(t, delta, alpha, grid):
-    """run_mzi per cell on one Gaussian, laid out as stats_grid returns it."""
+    """run_mzi per cell on one Gaussian, as the PortStats that stats_grid returns."""
     gauss = wp.gaussian_init(wp.GaussianParams(), grid)
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
     stats = np.empty((4, t.size))
     for i, cell in enumerate(zip(t.flat, delta.flat, alpha.flat)):
         out_c, out_d = mzi.run_mzi(gauss, *cell)
-        # a dark port's mean is None, which numpy stores as nan
         stats[:, i] = out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p
-    return stats.reshape((4,) + t.shape)
+    return mzi.PortStats(*stats.reshape((4,) + t.shape))
 
 
 def cmd_sweep(args) -> int:
@@ -92,7 +91,7 @@ def cmd_sweep(args) -> int:
         for row in zip(*(column.flat for column in columns)):
             fh.write(",".join(map(_fmt, row)) + "\n")
     # the first minimum in t-major order; a dark cell's nan never wins
-    m_c = stats[1]
+    m_c = stats.mean_c
     i = np.argmin(np.where(np.isnan(m_c), np.inf, m_c))
     best = (m_c.flat[i], tt.flat[i], dd.flat[i])
     if not best[0] < np.inf:

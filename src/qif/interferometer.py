@@ -11,13 +11,14 @@ i*r with r = sqrt(1 - t^2); the second beam splitter is fixed balanced with
 coefficients 1/sqrt(2) (transmission) and i/sqrt(2) (reflection).  An
 unobservable global phase on port D is dropped.
 
+Grid runs and the closed forms in analytic report one PortStats record.
 Every run keeps P_C + P_D = 1 and the momentum balance of the two arms:
 conservation_residual writes the balance, and check_ports judges both
 invariants against their named limits, for one run or a whole surface.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,18 +72,27 @@ class TwoPathState:
 class PortOutcome:
     """Post-selection result at one exit port.
 
-    mean_p is None for a dark port (probability below threshold), where the
+    mean_p is nan for a dark port (probability below threshold), where the
     conditional average is undefined.
     """
 
     port: str
     probability: float
     wavefunction: MomentumWavefunction
-    mean_p: Optional[float]
+    mean_p: float
 
     @property
     def is_dark(self) -> bool:
-        return self.mean_p is None
+        return bool(np.isnan(self.mean_p))
+
+
+class PortStats(NamedTuple):
+    """P_C, <p>_C, P_D, <p>_D (units of W) for one run or a surface; nan marks a dark port."""
+
+    p_c: float
+    mean_c: float
+    p_d: float
+    mean_d: float
 
 
 def split(input_wf: MomentumWavefunction, bs: BeamSplitterCoeffs) -> TwoPathState:
@@ -146,7 +156,7 @@ def port_stats(raw: MomentumWavefunction, port: str) -> PortOutcome:
     """Probability, normalized wavefunction and conditional mean at a port."""
     prob = wp.norm(raw)
     if prob < DARK_THRESHOLD:
-        return PortOutcome(port=port, probability=prob, wavefunction=raw, mean_p=None)
+        return PortOutcome(port=port, probability=prob, wavefunction=raw, mean_p=np.nan)
     normalized = MomentumWavefunction(raw.grid, raw.amplitudes / np.sqrt(prob))
     return PortOutcome(
         port=port,
@@ -160,10 +170,9 @@ def conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0):
     """|P_C <p>_C + P_D <p>_D - (t^2 mean_in + r^2 (mean_in + delta))|, broadcast.
 
     The post-selected averages, weighted by their probabilities, must
-    reproduce the unconditional momentum balance of the two arms.  A nan or
-    None mean marks a dark port, which carries no momentum.
+    reproduce the unconditional momentum balance of the two arms.  A nan
+    mean marks a dark port, which carries no momentum.
     """
-    mean_c, mean_d = np.asarray(mean_c, dtype=float), np.asarray(mean_d, dtype=float)
     moment = (np.where(np.isnan(mean_c), 0.0, p_c * mean_c)
               + np.where(np.isnan(mean_d), 0.0, p_d * mean_d))
     return np.abs(moment - (t * t * mean_in + (1.0 - t * t) * (mean_in + delta)))

@@ -95,9 +95,15 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     grid = wf.grid
     dt = pulse.duration / pulse.substeps
     p_edge = max(abs(grid.p_min), abs(grid.p_max))
-    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
-        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
-                             f"at mass={config.mass}, dt={dt}")
+    z_edge = float(np.max(np.abs(grid.z)))
+    # each phase's largest exponent, refused before numpy builds the phase and warns
+    exponents = {f"kinetic phase p^2 dt/m overflows at mass={config.mass}":
+                 p_edge * p_edge * dt / float(config.mass),
+                 f"potential phase F z dt/2 overflows at force={pulse.force}":
+                 0.5 * pulse.force * z_edge * dt}
+    for overflow, exponent in exponents.items():
+        if not math.isfinite(exponent):
+            raise ParameterError(f"non-finite amplitudes: {overflow}, dt={dt}")
     half_ramp = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
     ramp = half_ramp * half_ramp
     kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)

@@ -61,9 +61,9 @@ def test_criterion_1_reference_point():
                    f"runtime={elapsed:.3f}s")
 
 
-def test_criterion_2_surface_minimum():
+def test_criterion_2_surface_minimum(sweep_minimum):
     start = time.perf_counter()
-    t_star, d_star, value = analytic.find_min_mean_c((0.01, 0.99), (0.01, 2.0), 200)
+    t_star, d_star, value = sweep_minimum((0.01, 0.99, 200), (0.01, 2.0, 200))
     elapsed = time.perf_counter() - start
     ok = value <= -0.65 and d_star <= 0.05 and elapsed < 10.0
     _report(2, ok, f"min mean_C={value:.4f} at t={t_star:.4f}, delta={d_star:.3f}, "
@@ -118,7 +118,7 @@ def test_criterion_5_conservation():
         worst_grid = max(worst_grid, mzi.conservation_residual(
             out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p, t, delta))
         s = analytic.closed_form_stats(t, delta, alpha)
-        total = s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
+        total = s.p_c * np.nan_to_num(s.mean_c) + s.p_d * np.nan_to_num(s.mean_d)
         worst_oracle = max(worst_oracle, abs(total - r_sq_delta))
     ok = worst_grid <= 1e-8 and worst_oracle <= 1e-12
     _report(5, ok, f"max residual grid={worst_grid:.2e}, oracle={worst_oracle:.2e}")

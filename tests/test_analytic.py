@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from qif import analytic, interferometer as mzi, wavepacket as wp
-from qif.analytic import ClosedFormStats
 
 
 def _phi(p):
@@ -93,7 +92,7 @@ class TestClosedFormStats:
     def test_balanced_dark_port(self):
         s = analytic.closed_form_stats(1 / np.sqrt(2), 0.0, 0.0)
         assert s.p_c == pytest.approx(0.0, abs=1e-15)
-        assert s.mean_c is None
+        assert np.isnan(s.mean_c)
 
     def test_quarter_phase_kills_interference(self):
         # cos(alpha) = 0: both ports equally likely, both means r^2 delta
@@ -111,7 +110,7 @@ class TestClosedFormStats:
             delta = rng.uniform(0.0, 2.0)
             alpha = rng.uniform(0.0, 2 * np.pi)
             s = analytic.closed_form_stats(t, delta, alpha)
-            total = s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
+            total = s.p_c * np.nan_to_num(s.mean_c) + s.p_d * np.nan_to_num(s.mean_d)
             assert abs(total - (1 - t * t) * delta) <= 1e-12
 
     def test_port_swap_symmetry(self, rng):
@@ -152,23 +151,19 @@ class TestOracleGridAgreement:
 
 
 class TestFindMinMeanC:
-    def test_fig2_domain(self):
-        t_star, d_star, value = analytic.find_min_mean_c((0.01, 0.99), (0.01, 2.0), 200)
+    """The most negative <p>_C on a surface, as `qif sweep` finds it."""
+
+    def test_fig2_domain(self, sweep_minimum):
+        t_star, d_star, value = sweep_minimum((0.01, 0.99, 200), (0.01, 2.0, 200))
         assert value <= -0.65
         # minimum approached at small delta, t slightly above 1/sqrt(2)
         assert d_star <= 0.05
         assert 1 / np.sqrt(2) < t_star < 0.75
 
-    def test_weak_overlap_domain(self):
+    def test_weak_overlap_domain(self, sweep_minimum):
         # needs delta >= 8W where the overlap is < 1e-7
-        _, _, value = analytic.find_min_mean_c((0.01, 0.99), (8.0, 12.0), 100)
+        _, _, value = sweep_minimum((0.01, 0.99, 100), (8.0, 12.0, 100))
         assert value >= -1e-6
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.find_min_mean_c((0.5, 0.5), (0.1, 2.0), 100)
-        with pytest.raises(ValueError):
-            analytic.find_min_mean_c((0.1, 0.9), (0.1, 2.0), 1)
 
 
 class TestStatsGrid:
@@ -178,6 +173,8 @@ class TestStatsGrid:
         p_c, m_c, p_d, m_d = analytic.stats_grid(ts, ds, alpha=0.4)
         for i in range(8):
             s = analytic.closed_form_stats(ts[i], ds[i], 0.4)
+            # one record, one field order: (p_c, mean_c, p_d, mean_d)
+            assert tuple(s) == tuple(map(float, analytic.stats_grid(ts[i], ds[i], 0.4)))
             assert p_c[i] == pytest.approx(s.p_c, abs=1e-14)
             assert m_c[i] == pytest.approx(s.mean_c, abs=1e-12)
             assert p_d[i] == pytest.approx(s.p_d, abs=1e-14)

@@ -65,12 +65,16 @@ class TestParse:
         ("select port=E", "port must be C or D"),
         ("report nonsense", "report kind"),
         ("report", "exactly one"),
+        ("bs t=1.5", "transmission must lie in [0, 1], got 1.5"),
+        ("source width=0 mean=0", "width must be positive, got 0.0"),
     ])
     def test_line_errors(self, line, fragment):
         with pytest.raises(cf.ParseError) as err:
             cf.parse(f"source width=1 mean=0\n{line}")
         assert err.value.line == 2
         assert fragment in err.value.message
+        # column points at the offending token: 6 for bs t=1.5, 14 for width=0
+        assert err.value.column == line.index(err.value.token) + 1
 
     @pytest.mark.parametrize("text,line,fragment", [
         ("source width=1 mean=0\nkick path=B delta=0.1", 2, "requires bs"),

@@ -65,8 +65,7 @@ class TestSweep:
 
     @staticmethod
     def _csv(rows):
-        fmt = lambda x: format(np.nan if x is None else x, ".17g")
-        return [cli.CSV_HEADER] + [",".join(map(fmt, row)) for row in rows]
+        return [cli.CSV_HEADER] + [",".join(format(x, ".17g") for x in row) for row in rows]
 
     def test_header_and_shape(self, tmp_path, capsys):
         text = self._sweep(tmp_path, "s.csv")
@@ -108,8 +107,8 @@ class TestSweep:
         for t in np.linspace(*t):
             for d in np.linspace(*delta):
                 s = analytic.closed_form_stats(t, d, 0.0)
-                residual = abs(s.p_c * (s.mean_c or 0.0) + s.p_d * (s.mean_d or 0.0)
-                               - (1.0 - t * t) * d)
+                residual = abs(s.p_c * np.nan_to_num(s.mean_c)
+                               + s.p_d * np.nan_to_num(s.mean_d) - (1.0 - t * t) * d)
                 rows.append((t, d, 0.0, s.p_c, s.mean_c, s.p_d, s.mean_d, residual))
         return rows
 
@@ -117,7 +116,7 @@ class TestSweep:
         t_dark = 0.7071067811865476  # balanced splitter: port C is dark at delta = 0
         text = self._sweep(tmp_path, "s.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.0, 3))
         rows = self._oracle_rows((0.5, t_dark, 3), (0.0, 1.0, 3))
-        assert rows[-3][4] is None
+        assert np.isnan(rows[-3][4])
         assert text.splitlines() == self._csv(rows)
 
     def test_large_delta_surface_accepted(self, tmp_path, capsys):
@@ -141,7 +140,7 @@ class TestSweep:
                                                      out_d.probability, out_d.mean_p, t, d)
                 rows.append((t, d, alpha, out_c.probability, out_c.mean_p,
                              out_d.probability, out_d.mean_p, residual))
-        assert (rows[-3][4] is None) == (alpha == 0.0)
+        assert np.isnan(rows[-3][4]) == (alpha == 0.0)
         assert text.splitlines() == self._csv(rows)
 
     def test_refused_sweep_leaves_out_unchanged(self, tmp_path, capsys):
@@ -318,6 +317,11 @@ REFUSED = [
      .replace("delta=0.2", "delta=0.001"),
      ["simulate", "{file}"], {}, "line 4: recombine: unitarity violated"),
     ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], {}, "mass=1e-320"),
+    ("propagate_force_overflows", None, ["propagate", "--force", "1e308"], {},
+     "potential phase F z dt/2 overflows at force=1e+308"),
+    ("sweep_one_step", None,
+     ["sweep", "--t", "0.1", "0.9", "1", "--delta", "0", "1", "3", "--out", "{file}"], {},
+     "sweep needs at least 2 steps per axis"),
 ]
 
 

@@ -114,7 +114,7 @@ class TestPortStats:
         out = mzi.port_stats(zero, "C")
         assert out.probability == 0.0
         assert out.is_dark
-        assert out.mean_p is None
+        assert np.isnan(out.mean_p)
 
     def test_normalized_wavefunction(self, gauss):
         out_c, _ = mzi.run_mzi(gauss, 0.85, 0.2)
@@ -145,7 +145,7 @@ class TestConservation:
                       + (0.0 if np.isnan(md) else (1.0 - pc) * md))
             want.append(abs(moment - (tk * tk * mean_in + (1.0 - tk * tk) * (mean_in + dk))))
         assert np.array_equal(got, want)
-        assert mzi.conservation_residual(0.5, None, 0.5, 0.4, 0.6, 1.0) == abs(0.2 - 0.64)
+        assert mzi.conservation_residual(0.5, np.nan, 0.5, 0.4, 0.6, 1.0) == abs(0.2 - 0.64)
 
     def test_check_refuses_just_above_unitarity_limit(self):
         mzi.check_ports(0.5, np.nan, 0.5 + 0.9e-9, np.nan, 1.0, 0.0)
