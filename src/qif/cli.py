@@ -27,6 +27,10 @@ EXIT_PARSE = 2
 EXIT_RUNTIME = 3
 
 CSV_HEADER = "t,delta,alpha,p_c,mean_c,p_d,mean_d,residual"
+#: The CSV row after its t, delta and alpha heads; "%.17g" is format(x, ".17g").
+CSV_CELLS = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+#: Largest t x delta surface a sweep computes (about 1 GB of surface arrays).
+MAX_SWEEP_CELLS = 10 ** 7
 
 
 def _grid(args) -> wp.GridSpec:
@@ -66,13 +70,22 @@ def _grid_stats(t, delta, alpha, grid):
 
 
 def cmd_sweep(args) -> int:
-    for name, value in zip(("--delta LO", "--delta HI", "--alpha"), (*args.delta[:2], args.alpha)):
+    for name, value in zip(("--t LO", "--t HI", "--delta LO", "--delta HI", "--alpha"),
+                           (*args.t[:2], *args.delta[:2], args.alpha)):
         if not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
     grid = _grid(args)
     # step counts arrive as floats: refuse nan and inf before int() sees them
     if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):
         raise ParameterError("sweep needs at least 2 steps per axis")
+    for name, (lo, hi, steps) in (("--t", args.t), ("--delta", args.delta)):
+        if not steps.is_integer():
+            raise ParameterError(f"{name} STEPS must be a whole number, got {steps}")
+        if not np.isfinite(hi - lo):
+            raise ParameterError(f"{name} span HI - LO overflows from {lo} to {hi}")
+    if args.t[2] * args.delta[2] > MAX_SWEEP_CELLS:
+        raise ParameterError(f"sweep of {args.t[2]:g} x {args.delta[2]:g} cells exceeds "
+                             f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
     ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
     for t in ts:
         mzi.BeamSplitterCoeffs(t)
@@ -85,11 +98,14 @@ def cmd_sweep(args) -> int:
         stats = _grid_stats(tt, dd, args.alpha, grid)
         tolerance = mzi.CONSERVATION_TOLERANCE
     residual = mzi.check_ports(*stats, tt, dd, tolerance=tolerance)
-    columns = (tt, dd, np.broadcast_to(args.alpha, tt.shape), *stats, residual)
+    # streamed one t row at a time; each delta, alpha pair is formatted once
+    heads = ["%.17g,%.17g," % (d, args.alpha) for d in dd[0].tolist()]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in zip(*(column.flat for column in columns)):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        for i, t in enumerate(ts.tolist()):
+            t_head = "%.17g," % t
+            rows = zip(heads, zip(*(column[i].tolist() for column in (*stats, residual))))
+            fh.write("".join([t_head + head + CSV_CELLS % cell for head, cell in rows]))
     # the first minimum in t-major order; a dark cell's nan never wins
     m_c = stats.mean_c
     i = np.argmin(np.where(np.isnan(m_c), np.inf, m_c))

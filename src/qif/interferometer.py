@@ -184,11 +184,12 @@ def check_ports(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0,
 
     Unitarity is judged before conservation.  The residual rounds like
     4e-16 |delta|, so past |delta| = 100 the conservation limit grows with it.
+    The checks fail closed: a nan sum or residual is refused.
     """
     residual = conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in)
     t, delta, p_sum, residual = np.broadcast_arrays(t, delta, np.add(p_c, p_d), residual)
-    not_unitary = np.abs(p_sum - 1.0) > UNITARITY_TOLERANCE
-    unbalanced = residual > tolerance * np.maximum(1.0, np.abs(delta) / 100.0)
+    not_unitary = ~(np.abs(p_sum - 1.0) <= UNITARITY_TOLERANCE)
+    unbalanced = ~(residual <= tolerance * np.maximum(1.0, np.abs(delta) / 100.0))
     bad = np.flatnonzero(not_unitary | unbalanced)
     if bad.size:
         i = bad[0]

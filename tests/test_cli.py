@@ -102,14 +102,27 @@ class TestSweep:
             np.testing.assert_allclose(vg, vo, atol=1e-6)
 
     @staticmethod
-    def _oracle_rows(t, delta):
+    def _oracle_rows(t, delta, alpha=0.0):
         rows = []
         for t in np.linspace(*t):
             for d in np.linspace(*delta):
-                s = analytic.closed_form_stats(t, d, 0.0)
+                s = analytic.closed_form_stats(t, d, alpha)
                 residual = abs(s.p_c * np.nan_to_num(s.mean_c)
                                + s.p_d * np.nan_to_num(s.mean_d) - (1.0 - t * t) * d)
-                rows.append((t, d, 0.0, s.p_c, s.mean_c, s.p_d, s.mean_d, residual))
+                rows.append((t, d, alpha, s.p_c, s.mean_c, s.p_d, s.mean_d, residual))
+        return rows
+
+    @staticmethod
+    def _grid_rows(t, delta, alpha):
+        gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid())
+        rows = []
+        for t in np.linspace(*t):
+            for d in np.linspace(*delta):
+                out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
+                residual = mzi.conservation_residual(out_c.probability, out_c.mean_p,
+                                                     out_d.probability, out_d.mean_p, t, d)
+                rows.append((t, d, alpha, out_c.probability, out_c.mean_p,
+                             out_d.probability, out_d.mean_p, residual))
         return rows
 
     def test_oracle_rows_equal_closed_form_stats(self, tmp_path, capsys):
@@ -131,17 +144,31 @@ class TestSweep:
         t_dark = 0.7071067811865476
         text = self._sweep(tmp_path, "g.csv", t=(0.5, t_dark, 3), delta=(0.0, 1.5, 3),
                            extra=["--backend", "grid", "--alpha", str(alpha)])
-        gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid())
-        rows = []
-        for t in np.linspace(0.5, t_dark, 3):
-            for d in np.linspace(0.0, 1.5, 3):
-                out_c, out_d = mzi.run_mzi(gauss, t, d, alpha)
-                residual = mzi.conservation_residual(out_c.probability, out_c.mean_p,
-                                                     out_d.probability, out_d.mean_p, t, d)
-                rows.append((t, d, alpha, out_c.probability, out_c.mean_p,
-                             out_d.probability, out_d.mean_p, residual))
+        rows = self._grid_rows((0.5, t_dark, 3), (0.0, 1.5, 3), alpha)
         assert np.isnan(rows[-3][4]) == (alpha == 0.0)
         assert text.splitlines() == self._csv(rows)
+
+    # (t axis, delta axis, alpha, backend): every CSV byte comes from the writer
+    WRITER_CASES = {
+        "non_square": ((0.1, 0.9, 4), (0.0, 3.0, 7), 0.25, "oracle"),
+        "descending_t": ((1.0, 0.0, 4), (0.0, 1.0, 3), -1.5, "oracle"),
+        "alpha_negative_zero_dark_cell": ((0.5, 0.7071067811865476, 3), (0.0, 1.0, 3), -0.0,
+                                          "oracle"),
+        "subnormal_delta": ((0.1, 0.9, 3), (1e-310, 1e-300, 4), 0.0, "oracle"),
+        "grid_2x3": ((0.5, 0.7071067811865476, 2), (0.0, 1.5, 3), -0.5, "grid"),
+    }
+
+    @pytest.mark.parametrize("t, delta, alpha, backend", WRITER_CASES.values(),
+                             ids=WRITER_CASES.keys())
+    def test_rows_equal_per_cell_values(self, tmp_path, capsys, t, delta, alpha, backend):
+        text = self._sweep(tmp_path, "s.csv", t=t, delta=delta,
+                           extra=["--alpha", str(alpha), "--backend", backend])
+        rows = (self._oracle_rows if backend == "oracle" else self._grid_rows)(t, delta, alpha)
+        assert text.splitlines() == self._csv(rows)
+
+    def test_percent_format_is_format(self):
+        for x in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, np.finfo(float).max, 0.1):
+            assert "%.17g" % x == format(x, ".17g")
 
     def test_refused_sweep_leaves_out_unchanged(self, tmp_path, capsys):
         out = tmp_path / "keep.csv"
@@ -322,6 +349,16 @@ REFUSED = [
     ("sweep_one_step", None,
      ["sweep", "--t", "0.1", "0.9", "1", "--delta", "0", "1", "3", "--out", "{file}"], {},
      "sweep needs at least 2 steps per axis"),
+    ("sweep_fractional_steps", None,
+     ["sweep", "--t", "0.1", "0.9", "2.5", "--delta", "0", "1", "2", "--out", "{file}"], {},
+     "--t STEPS must be a whole number, got 2.5"),
+    ("sweep_too_many_cells", None,
+     ["sweep", "--t", "0.1", "0.9", "1e300", "--delta", "0", "1", "2", "--out", "{file}"], {},
+     "exceeds MAX_SWEEP_CELLS"),
+    # finite bounds whose difference overflows; argparse reads "-1e308" as an option
+    ("sweep_delta_span_overflows", None,
+     ["sweep", "--t", "0.1", "0.9", "3", "--delta", "-1" + "0" * 308, "1e308", "3",
+      "--out", "{file}"], {}, "--delta span HI - LO overflows"),
 ]
 
 
@@ -380,3 +417,41 @@ class TestFuzzSimulate:
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text(self, text):
         self._check(text)
+
+
+class TestFuzzSweep:
+    """Any sweep axes and alpha exit 0 or 3; an accepted surface passes its check."""
+
+    STEPS = [0, 1, 2, 3, 5, 2.5, 1e300, np.nan, np.inf]
+    # half the draws are valid step counts and t bounds, so some sweeps are accepted
+    steps = st.one_of(st.sampled_from([2, 3, 5]), st.sampled_from(STEPS))
+    t_bound = st.one_of(st.floats(0.0, 1.0), st.floats())
+    # finite bounds whose span overflows are rare among plain float draws
+    delta_bound = st.one_of(st.floats(), st.sampled_from([-1e308, 1e308]))
+
+    @staticmethod
+    def _arg(x):
+        # a leading space makes argparse read "-1e+308" or "-inf" as a value, not an option
+        return f" {x!r}"
+
+    @given(t=st.tuples(t_bound, t_bound, steps),
+           delta=st.tuples(delta_bound, delta_bound, steps), alpha=st.floats())
+    @settings(max_examples=400, deadline=None)
+    def test_sweep_axes(self, t, delta, alpha):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "fuzz.csv")
+            argv = ["sweep", "--t", *map(self._arg, t), "--delta", *map(self._arg, delta),
+                    "--alpha", self._arg(alpha), "--out", out]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 3)
+            assert err.getvalue().count("\n") <= 1
+            assert os.path.exists(out) == (code == 0)
+            if code == 0:
+                rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+                assert len(rows) == t[2] * delta[2]
+                deltas, residual = rows[:, 1], rows[:, 7]
+                limit = mzi.ORACLE_CONSERVATION_TOLERANCE * np.maximum(1.0, np.abs(deltas) / 100)
+                assert np.all(np.isfinite(residual))
+                assert np.all(residual <= limit)

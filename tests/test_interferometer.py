@@ -173,6 +173,15 @@ class TestConservation:
         with pytest.raises(QifError, match=r"conservation violated at t=0.2, delta=2.0"):
             mzi.check_ports(p_c, mean, p_d, mean, tt, dd)
 
+    def test_check_refuses_nan_residual(self):
+        # every comparison with nan is false: the checks must fail closed
+        with pytest.raises(QifError, match=r"unitarity violated at t=0.6, delta=1.0"):
+            mzi.check_ports(np.nan, 0.2, 0.5, 0.2, 0.6, 1.0)
+        with pytest.raises(QifError, match=r"conservation violated at t=0.6, delta=1.0"):
+            mzi.check_ports(0.5, 0.32, 0.5, 0.32, 0.6, 1.0, mean_in=np.nan)
+        with pytest.raises(QifError, match=r"conservation violated at t=0.6, delta=nan"):
+            mzi.check_ports(0.5, 0.32, 0.5, 0.32, 0.6, np.nan)
+
     def test_no_kick_path(self, gauss):
         out_c, out_d = mzi.run_mzi(gauss, 1.0, 0.2)
         total = out_c.probability * out_c.mean_p + out_d.probability * out_d.mean_p
