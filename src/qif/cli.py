@@ -74,7 +74,8 @@ def cmd_sweep(args) -> int:
                            (*args.t[:2], *args.delta[:2], args.alpha)):
         if not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
-    grid = _grid(args)
+    # an oracle sweep uses no grid, so it reads no grid setting
+    grid = _grid(args) if args.backend == "grid" else None
     # step counts arrive as floats: refuse nan and inf before int() sees them
     if not all(2 <= steps < np.inf for steps in (args.t[2], args.delta[2])):
         raise ParameterError("sweep needs at least 2 steps per axis")
@@ -120,6 +121,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.samples < 0:
         raise ParameterError(f"--samples must be non-negative, got {args.samples}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
     if args.samples == 0:
         print("0 samples: nothing to check")
         return EXIT_OK
@@ -197,62 +200,68 @@ def cmd_bec(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRID_N = ("--grid-n", dict(type=int, default=None))
+#: Each subcommand's help, handler and arguments, in the order --help lists them.
+SUBCOMMANDS = {
+    "simulate": ("run a .qif circuit file", cmd_simulate, (("file", {}), _GRID_N)),
+    "sweep": ("t/delta sweep to CSV", cmd_sweep, (
+        ("--t", dict(nargs=3, type=float, required=True, metavar=("LO", "HI", "STEPS"))),
+        ("--delta", dict(nargs=3, type=float, required=True, metavar=("LO", "HI", "STEPS"))),
+        ("--alpha", dict(type=float, default=0.0)),
+        ("--backend", dict(choices=("oracle", "grid"), default="oracle")),
+        ("--out", dict(required=True)),
+        _GRID_N)),
+    "oracle-check": ("closed forms vs grid on random parameters", cmd_oracle_check, (
+        ("--samples", dict(type=int, default=1000)),
+        ("--seed", dict(type=int, required=True)),
+        _GRID_N)),
+    "propagate": ("split-step impulsive-kick demo", cmd_propagate, (
+        ("--force", dict(type=float, default=1.0)),
+        ("--tau", dict(type=float, default=0.2)),
+        ("--substeps", dict(type=int, default=64)),
+        ("--mass", dict(type=float, default=1e4)),
+        _GRID_N)),
+    "feasibility": ("electron-scenario SI report", cmd_feasibility, (
+        ("--energy-kev", dict(type=float, default=6.0)),
+        ("--slit-um", dict(type=float, default=1.5)),
+        ("--drift-m", dict(type=float, default=1.0)),
+        ("--plate-sep-mm", dict(type=float, default=1.0)),
+        ("--plate-len-cm", dict(type=float, default=1.0)),
+        ("--voltage-mv", dict(type=float, default=0.2)))),
+    "bec": ("internal-state protocol run", cmd_bec, (
+        ("--t", dict(type=float, required=True)),
+        ("--delta-a", dict(type=float, required=True)),
+        ("--delta-b", dict(type=float, required=True)),
+        ("--check-mzi", dict(action="store_true",
+                             help="also compare against the spatial-interferometer run")),
+        _GRID_N)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The qif parser; for a subcommand's exact name, with that subcommand alone.
+
+    Anything else (no argument, -h, an unknown or abbreviated name) gets the
+    full parser.  A lone subcommand keeps the full choice list as its
+    metavar, so usage and error text are the same either way.
+    """
     parser = argparse.ArgumentParser(prog="qif", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a .qif circuit file")
-    p.add_argument("file")
-    p.add_argument("--grid-n", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="t/delta sweep to CSV")
-    p.add_argument("--t", nargs=3, type=float, required=True, metavar=("LO", "HI", "STEPS"))
-    p.add_argument("--delta", nargs=3, type=float, required=True,
-                   metavar=("LO", "HI", "STEPS"))
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--backend", choices=("oracle", "grid"), default="oracle")
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle-check", help="closed forms vs grid on random parameters")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("propagate", help="split-step impulsive-kick demo")
-    p.add_argument("--force", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.2)
-    p.add_argument("--substeps", type=int, default=64)
-    p.add_argument("--mass", type=float, default=1e4)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.set_defaults(func=cmd_propagate)
-
-    p = sub.add_parser("feasibility", help="electron-scenario SI report")
-    p.add_argument("--energy-kev", type=float, default=6.0)
-    p.add_argument("--slit-um", type=float, default=1.5)
-    p.add_argument("--drift-m", type=float, default=1.0)
-    p.add_argument("--plate-sep-mm", type=float, default=1.0)
-    p.add_argument("--plate-len-cm", type=float, default=1.0)
-    p.add_argument("--voltage-mv", type=float, default=0.2)
-    p.set_defaults(func=cmd_feasibility)
-
-    p = sub.add_parser("bec", help="internal-state protocol run")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--delta-a", type=float, required=True)
-    p.add_argument("--delta-b", type=float, required=True)
-    p.add_argument("--check-mzi", action="store_true",
-                   help="also compare against the spatial-interferometer run")
-    p.add_argument("--grid-n", type=int, default=None)
-    p.set_defaults(func=cmd_bec)
+    alone = command in SUBCOMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(SUBCOMMANDS) if alone else None)
+    for name in (command,) if alone else SUBCOMMANDS:
+        help_text, func, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # errors in a circuit are reported against its file name
     prefix = getattr(args, "file", "error")
     try:

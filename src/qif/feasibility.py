@@ -49,12 +49,13 @@ class ElectronScenario:
     voltage_v: float = 0.2e-3
 
     def __post_init__(self):
-        for name in ("kinetic_energy_ev", "slit_width_m", "drift_distance_m",
-                     "plate_separation_m", "plate_length_m"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
-        if self.voltage_v < 0:
-            raise ParameterError("voltage_v must be non-negative")
+        # one rule: 0 < x < inf, except that the voltage may be zero
+        for name, value in vars(self).items():
+            zero_ok = name == "voltage_v"
+            if not (0 <= value if zero_ok else 0 < value):
+                raise ParameterError(f"{name} must be " + ("non-negative" if zero_ok else "positive"))
+            if not value < np.inf:
+                raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,12 @@ class FeasibilityReport:
     momentum_width: float      # kg m/s, the width parameter W
     kick: float                # kg m/s, the capacitor kick delta
     ratio: float               # delta / W, dimensionless
+
+    def __post_init__(self):
+        bad = [f"{name} = {value}" for name, value in vars(self).items()
+               if not np.isfinite(value)]
+        if bad:
+            raise ParameterError(f"scenario gives non-finite {', '.join(bad)}")
 
 
 def electron_report(scenario: ElectronScenario = ElectronScenario()) -> FeasibilityReport:
@@ -80,18 +87,22 @@ def electron_report(scenario: ElectronScenario = ElectronScenario()) -> Feasibil
             f"{e_ev} eV is not safely non-relativistic "
             f"(limit {RELATIVISTIC_FRACTION * ELECTRON_REST_ENERGY_EV:.0f} eV)"
         )
-    energy = e_ev * EV
-    momentum = np.sqrt(2.0 * ELECTRON_MASS * energy)
-    speed = momentum / ELECTRON_MASS
-    tof = scenario.drift_distance_m / speed
+    # numpy floats throughout, so an underflow or overflow ends as a non-finite
+    # field that the report refuses, not as a warning or a ZeroDivisionError
+    with np.errstate(all="ignore"):
+        energy = e_ev * EV
+        momentum = np.sqrt(2.0 * ELECTRON_MASS * energy)
+        speed = momentum / ELECTRON_MASS
+        tof = scenario.drift_distance_m / speed
 
-    sigma0 = scenario.slit_width_m / 2.0
-    spread = HBAR * tof / (2.0 * ELECTRON_MASS * sigma0 * sigma0)
-    sigma_t = sigma0 * np.sqrt(1.0 + spread * spread)
-    momentum_width = HBAR / (2.0 * sigma0)
+        sigma0 = np.float64(scenario.slit_width_m) / 2.0
+        spread = HBAR * tof / (2.0 * ELECTRON_MASS * sigma0 * sigma0)
+        sigma_t = sigma0 * np.sqrt(1.0 + spread * spread)
+        momentum_width = HBAR / (2.0 * sigma0)
 
-    force = ELEMENTARY_CHARGE * scenario.voltage_v / scenario.plate_separation_m
-    kick = force * scenario.plate_length_m / speed
+        force = ELEMENTARY_CHARGE * scenario.voltage_v / scenario.plate_separation_m
+        kick = force * scenario.plate_length_m / speed
+        ratio = kick / momentum_width
     return FeasibilityReport(
         speed=float(speed),
         momentum=float(momentum),
@@ -99,6 +110,6 @@ def electron_report(scenario: ElectronScenario = ElectronScenario()) -> Feasibil
         beam_width_at_drift=float(sigma_t),
         momentum_width=float(momentum_width),
         kick=float(kick),
-        ratio=float(kick / momentum_width),
+        ratio=float(ratio),
     )
 

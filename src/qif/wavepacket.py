@@ -69,11 +69,11 @@ class GridSpec:
 
     @cached_property
     def _signs(self) -> np.ndarray:  # exp(-i pi k)
-        return np.where(np.arange(self.n_points) % 2, -1.0, 1.0)
+        return np.tile((1.0, -1.0), self.n_points // 2)
 
     @cached_property
-    def _z_factor(self) -> np.ndarray:
-        return self.dp / np.sqrt(2.0 * np.pi) * np.exp(1j * self.p_min * self.z)
+    def _z_factor(self) -> np.ndarray:  # conj(exp(-i x)) is exp(i x) bit for bit
+        return self.dp / np.sqrt(2.0 * np.pi) * np.conj(self._p_ramp)
 
     @cached_property
     def _p_ramp(self) -> np.ndarray:

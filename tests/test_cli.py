@@ -179,6 +179,11 @@ class TestSweep:
         assert "transmission" in capsys.readouterr().err
         assert out.read_text() == "earlier results\n"
 
+    def test_oracle_sweep_ignores_grid_setting(self, tmp_path, capsys, monkeypatch):
+        plain = self._sweep(tmp_path, "plain.csv")
+        monkeypatch.setenv("QIF_GRID_N", "1000")  # not a power of two
+        assert self._sweep(tmp_path, "env.csv") == plain
+
     def test_unwritable_path(self, tmp_path, capsys):
         argv = ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0.1", "1.9", "3",
                 "--out", str(tmp_path / "no" / "dir" / "x.csv")]
@@ -280,6 +285,30 @@ class TestFeasibility:
         assert run(["feasibility", "--energy-kev", "400"]) == 3
 
 
+class TestFuzzFeasibility:
+    """Any six floats exit 0 or 3 with one line; an accepted report is all finite."""
+
+    OPTIONS = ("--energy-kev", "--slit-um", "--drift-m", "--plate-sep-mm", "--plate-len-cm",
+               "--voltage-mv")
+    # the extremes of the double range, where underflow and overflow live
+    value = st.one_of(st.floats(), st.sampled_from([1e-300, 5e-318, 1e300, 1e308]))
+
+    @given(values=st.tuples(*[value] * 6))
+    @settings(max_examples=300, deadline=None)
+    def test_scenario(self, values):
+        # a leading space makes argparse read "-1.0" as a value, not an option
+        argv = ["feasibility"]
+        for option, x in zip(self.OPTIONS, values):
+            argv += [option, f" {x!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 3)
+        assert err.getvalue().count("\n") == (code == 3)
+        if code == 0:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
 class TestBec:
     def test_reference_run(self, capsys):
         assert run(["bec", "--t", "0.85", "--delta-a", "0.1",
@@ -311,10 +340,32 @@ REFUSED = [
     ("zero_mass", None, ["propagate", "--mass", "0"], {}, "mass"),
     ("negative_samples", None,
      ["oracle-check", "--samples", "-1", "--seed", "1"], {}, "samples"),
+    ("negative_seed", None, ["oracle-check", "--seed", "-1"], {},
+     "--seed must be non-negative, got -1"),
+    ("feasibility_voltage_nan", None, ["feasibility", "--voltage-mv", "nan"], {}, "voltage_v"),
+    ("feasibility_voltage_infinite", None, ["feasibility", "--voltage-mv", "inf"], {},
+     "voltage_v must be finite, got inf"),
+    ("feasibility_plate_length_infinite", None, ["feasibility", "--plate-len-cm", "inf"], {},
+     "plate_length_m must be finite, got inf"),
+    ("feasibility_drift_infinite", None, ["feasibility", "--drift-m", "inf"], {},
+     "drift_distance_m must be finite, got inf"),
+    ("feasibility_slit_infinite", None, ["feasibility", "--slit-um", "inf"], {},
+     "slit_width_m must be finite, got inf"),
+    # sigma0 squared underflows to 0, so the spread after the drift is infinite
+    ("feasibility_slit_underflows", None, ["feasibility", "--slit-um", "1e-300"], {},
+     "non-finite beam_width_at_drift = inf"),
+    # sigma0 = 5e-324 / 2 rounds to 0: once a ZeroDivisionError
+    ("feasibility_slit_subnormal", None, ["feasibility", "--slit-um", "5e-318"], {},
+     "non-finite beam_width_at_drift = nan, momentum_width = inf"),
+    ("feasibility_energy_underflows", None, ["feasibility", "--energy-kev", "1e-300"], {},
+     "non-finite time_of_flight = inf"),
     ("grid_env_not_power_of_two", CANONICAL,
      ["simulate", "{file}"], {"QIF_GRID_N": "1000"}, "power of two"),
     ("grid_env_not_integer", CANONICAL,
      ["simulate", "{file}"], {"QIF_GRID_N": "abc"}, "QIF_GRID_N"),
+    ("grid_sweep_env_not_power_of_two", None,
+     ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
+      "--out", "{file}"], {"QIF_GRID_N": "1000"}, "power of two"),
     ("grid_flag_zero", CANONICAL,
      ["simulate", "{file}", "--grid-n", "0"], {}, "power of two"),
     ("kick_wraps_past_grid_edge",
@@ -380,6 +431,52 @@ def test_bad_input_refused(tmp_path, capsys, monkeypatch, text, argv, env, fragm
     assert captured.err.count("\n") == 1  # the one message, no warnings
     assert captured.out == ""
     assert path.exists() == (text is not None)  # a refused sweep writes no file
+
+
+COMMANDS = ("simulate", "sweep", "oracle-check", "propagate", "feasibility", "bec")
+SWEEP_AXES = ["--t", "0.1", "0.9", "3", "--delta", "0", "1", "3"]
+# argv that the parser itself answers, with help text or a usage error
+PARSER_ARGV = [
+    [], ["-h"], *([command, "-h"] for command in COMMANDS),
+    ["frobnicate"], ["simul", "x.qif"],                       # unknown, abbreviated
+    ["sweep", *SWEEP_AXES], ["oracle-check"],                 # a required option missing
+    ["propagate", "--substeps", "many"],                      # a bad type
+    ["sweep", *SWEEP_AXES, "--backend", "fft", "--out", "x.csv"],  # a bad choice
+    ["simulate", "x.qif", "--bogus", "1"], ["feasibility", "extra"],  # unrecognized
+]
+
+
+def _parser_exit(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+class TestParserText:
+    """A call builds the parser for its own subcommand; what it prints is the full parser's."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = _parser_exit(cli.build_parser().parse_args, argv)
+        assert expected[2] in (0, 2)
+        assert _parser_exit(run, argv) == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lone_subcommand_keeps_the_full_usage(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+
+    def test_lone_subcommand_registers_only_itself(self):
+        assert _parser_exit(cli.build_parser("bec").parse_args, ["simulate", "x.qif"])[2] == 2
+
+    def test_each_call_builds_its_own_parser(self, monkeypatch, capsys):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *command: built.append(real(*command)) or built[-1])
+        assert run(["feasibility"]) == run(["feasibility"]) == 0
+        assert len(built) == 2 and built[0] is not built[1]
 
 
 class TestFuzzSimulate:
