@@ -144,26 +144,30 @@ def recombine(state: TwoPathState):
     and the + counterpart at port D.  Pointwise unitary, so
     norm(raw_c) + norm(raw_d) equals the total input norm.
     """
-    a = state.path_a.amplitudes
-    b = state.path_b.amplitudes
     grid = state.path_a.grid
-    raw_c = MomentumWavefunction(grid, (a + 1j * b) / _SQRT2)
-    raw_d = MomentumWavefunction(grid, (a - 1j * b) / _SQRT2)
-    return raw_c, raw_d
+    raw = balanced_ports(state.path_a.amplitudes, state.path_b.amplitudes)
+    return tuple(MomentumWavefunction(grid, amp) for amp in raw)
+
+
+def balanced_ports(a: np.ndarray, b: np.ndarray):
+    """The raw port amplitudes (a + i b) / sqrt(2) and (a - i b) / sqrt(2) of recombine."""
+    return (a + 1j * b) / _SQRT2, (a - 1j * b) / _SQRT2
 
 
 def port_stats(raw: MomentumWavefunction, port: str) -> PortOutcome:
     """Probability, normalized wavefunction and conditional mean at a port."""
-    prob = wp.norm(raw)
+    prob, mean, amp = port_moments(raw.grid, raw.amplitudes)
+    wf = raw if np.isnan(mean) else MomentumWavefunction(raw.grid, amp)
+    return PortOutcome(port=port, probability=prob, wavefunction=wf, mean_p=mean)
+
+
+def port_moments(grid: wp.GridSpec, raw: np.ndarray):
+    """P, <p> and the normalized amplitudes of one port; a dark port keeps raw, <p> nan."""
+    prob = float(np.sum(np.abs(raw) ** 2) * grid.dp)  # norm, as wavepacket.norm sums it
     if prob < DARK_THRESHOLD:
-        return PortOutcome(port=port, probability=prob, wavefunction=raw, mean_p=np.nan)
-    normalized = MomentumWavefunction(raw.grid, raw.amplitudes / np.sqrt(prob))
-    return PortOutcome(
-        port=port,
-        probability=prob,
-        wavefunction=normalized,
-        mean_p=wp.mean_momentum(normalized),
-    )
+        return prob, np.nan, raw
+    normalized = raw / np.sqrt(prob)
+    return prob, wp.first_moment(grid, normalized), normalized
 
 
 def conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0):

@@ -53,8 +53,8 @@ class PropagationConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ParameterError("mass must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ParameterError(f"mass must be positive and finite, got {self.mass}")
 
 
 def _check_leakage(wf: PositionWavefunction) -> None:
@@ -109,9 +109,9 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
     psi = wf.amplitudes * half_ramp
     for step in range(pulse.substeps):
-        psi = grid.p_to_z(grid.z_to_p(psi) * kinetic)
+        psi = grid.momentum_phase(psi, kinetic)
         # merge adjacent potential half-steps except after the last one
-        psi = psi * (ramp if step < pulse.substeps - 1 else half_ramp)
+        psi *= ramp if step < pulse.substeps - 1 else half_ramp
     # a non-finite value at any substep has spread to every node: refused here
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)

@@ -79,16 +79,35 @@ class GridSpec:
     def _p_ramp(self) -> np.ndarray:
         return np.exp(-1j * self.p_min * self.z)
 
+    @cached_property
+    def _p_scale(self) -> float:
+        return self.dz / np.sqrt(2.0 * np.pi)
+
     def p_to_z(self, phi: np.ndarray) -> np.ndarray:
         """psi(z_j) = dp / sqrt(2 pi) * sum_k phi(p_k) exp(i p_k z_j), by one FFT.
 
         The cached signs and phases carry the grid offsets; z_to_p inverts it.
         """
-        return self.n_points * np.fft.ifft(phi * self._signs) * self._z_factor
+        return self._unsigned_p_to_z(phi * self._signs)
 
     def z_to_p(self, psi: np.ndarray) -> np.ndarray:
         """Inverse of p_to_z."""
-        return np.fft.fft(psi * self._p_ramp) * self._signs * (self.dz / np.sqrt(2.0 * np.pi))
+        return np.fft.fft(psi * self._p_ramp) * self._signs * self._p_scale
+
+    def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """p_to_z(z_to_p(psi) * phase), overwriting psi.
+
+        The exact (-1)^k that z_to_p ends and p_to_z starts with are left out.
+        """
+        phi = np.fft.fft(np.multiply(psi, self._p_ramp, out=psi))
+        phi *= self._p_scale
+        phi *= phase
+        return self._unsigned_p_to_z(phi)
+
+    def _unsigned_p_to_z(self, chi: np.ndarray) -> np.ndarray:  # p_to_z(chi * (-1)^k)
+        psi = np.fft.ifft(chi, norm="forward")  # n * ifft(chi), exact as n = 2^m
+        psi *= self._z_factor
+        return psi
 
 
 def default_grid(n_points: int = DEFAULT_N) -> GridSpec:
@@ -162,10 +181,16 @@ def norm(wf) -> float:
 
 def mean_momentum(wf: MomentumWavefunction) -> float:
     """Normalized first moment of |Phi(p)|^2. Raises on dark states."""
-    n = norm(wf)
+    return first_moment(wf.grid, wf.amplitudes)
+
+
+def first_moment(grid: GridSpec, amp: np.ndarray) -> float:
+    """mean_momentum of the amplitudes amp on grid, with |amp|^2 taken once."""
+    prob = np.abs(amp) ** 2
+    n = float(np.sum(prob) * grid.dp)
     if n < DARK_THRESHOLD:
         raise ZeroNormError(f"norm {n} below dark-port threshold")
-    return float(np.sum(wf.grid.p * np.abs(wf.amplitudes) ** 2) * wf.grid.dp / n)
+    return float(np.sum(grid.p * prob) * grid.dp / n)
 
 
 def variance_momentum(wf: MomentumWavefunction) -> float:
@@ -193,8 +218,21 @@ def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
     and the benchmark's aliasing probes (kicks of 8-9.5 W) require exit 3.
     """
     span = grid.p_max - grid.p_min
+    if np.isnan(delta):  # fails closed: nan compares false with any guard
+        raise ParameterError(f"kick delta must be finite, got {delta}")
     if abs(delta) >= span / 4:
         raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")
+
+
+def check_wrap(grid: GridSpec, amp: np.ndarray, delta: float) -> None:
+    """Refuse a shift of amp by delta that wraps over WRAP_TOLERANCE of its norm."""
+    # p + delta is sorted, so the nodes that land outside are a prefix and a suffix
+    lo, hi = np.searchsorted(grid.p + delta, (grid.p_min, grid.p_max))
+    wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
+    total = np.vdot(amp, amp).real
+    if wrapped > WRAP_TOLERANCE * total:
+        raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
+                            "past the grid edge")
 
 
 def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
@@ -205,19 +243,12 @@ def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
     against wrap-around: |delta| must stay below a quarter of the grid span,
     and no more than WRAP_TOLERANCE of the norm may be moved past an edge.
     """
-    check_aliasing_guard(wf.grid, delta)
+    grid = wf.grid
+    check_aliasing_guard(grid, delta)
     if delta == 0.0:
         return wf
-    # p + delta is sorted, so the nodes that land outside are a prefix and a suffix
-    lo, hi = np.searchsorted(wf.grid.p + delta, (wf.grid.p_min, wf.grid.p_max))
-    amp = wf.amplitudes
-    wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
-    total = np.vdot(amp, amp).real
-    if wrapped > WRAP_TOLERANCE * total:
-        raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
-                            "past the grid edge")
-    grid = wf.grid
-    psi = grid.p_to_z(amp)
+    check_wrap(grid, wf.amplitudes, delta)
+    psi = grid.p_to_z(wf.amplitudes)
     return MomentumWavefunction(grid, grid.z_to_p(psi * np.exp(1j * delta * grid.z)))
 
 

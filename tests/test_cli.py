@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import program_gen
 from qif import analytic, circuitfile, cli, interferometer as mzi, wavepacket as wp
+from qif.errors import QifError
 
 CANONICAL = """\
 source width=1 mean=0
@@ -239,6 +240,93 @@ class TestOracleCheck:
         assert coarse > 100 * fine
 
 
+def run_mzi_loop(t, delta, alpha, grid):
+    """run_mzi cell by cell: the reference that cli._grid_stats matches bit for bit."""
+    gauss = wp.gaussian_init(wp.GaussianParams(), grid)
+    t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
+    stats = np.empty((4, t.size))
+    for i, cell in enumerate(zip(t.flat, delta.flat, alpha.flat)):
+        out_c, out_d = mzi.run_mzi(gauss, *cell)
+        stats[:, i] = out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p
+    return stats.reshape((4,) + t.shape)
+
+
+T_DARK = 0.7071067811865476  # t = r: port C is dark at delta = 0, alpha = 0
+
+
+def _surface(t, delta):
+    return np.meshgrid(np.linspace(*t), np.linspace(*delta), indexing="ij")
+
+
+class TestGridStats:
+    """cli._grid_stats works on plain arrays and still equals the run_mzi loop byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(t, delta, alpha, grid=None):
+        grid = grid or wp.default_grid()
+        got = cli._grid_stats(t, delta, alpha, grid)
+        expected = run_mzi_loop(t, delta, alpha, grid)
+        for column, reference in zip(got, expected):
+            assert column.shape == reference.shape
+            assert column.tobytes() == reference.tobytes()
+        return got
+
+    def test_oracle_check_samples(self):
+        rng = np.random.default_rng(11)
+        samples = rng.uniform((0.05, 0.0, 0.0), (0.95, 2.0, 2.0 * np.pi), size=(80, 3))
+        assert len(set(samples[:, 1])) == 80  # a kick ramp per sample
+        self.assert_same_bytes(*samples.T)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.37, np.pi])
+    def test_t_major_surface(self, alpha):
+        self.assert_same_bytes(*_surface((0.1, 0.95, 6), (0.05, 2.0, 6)), alpha)
+
+    def test_dark_cell_signed_zero_kicks_and_a_t_1_row(self):
+        # rows t = 1 (arm B empty), t = r (dark at delta = 0); -0.0 kicks beside 0.0
+        t, delta = np.meshgrid([1.0, T_DARK, 0.4], [-0.0, 0.0, 0.6, -0.0], indexing="ij")
+        got = self.assert_same_bytes(t, delta, 0.0)
+        assert np.isnan(got.mean_c[1, :2]).all() and not np.isnan(got.mean_c[2]).any()
+        self.assert_same_bytes(t, delta, -0.0)
+
+    def test_descending_guard_refused_like_the_cell_loop(self, tmp_path, capsys):
+        argv = ["sweep", "--t", "0.1", "0.9", "3", "--delta", "9", "7", "3",
+                "--backend", "grid", "--out", str(tmp_path / "s.csv")]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: |delta|=9.0 exceeds guard 8.0\n"
+
+    # a narrow grid (guard |delta| < 4), where kicks near 4 wrap past p = 8
+    @pytest.mark.parametrize("t, delta", [
+        ((0.6, 0.9, 3), (3.9, 3.99, 4)),   # every cell wraps: the first column's
+        ((1.0, 0.6, 3), (3.9, 4.5, 2)),    # r = 0 on row 0, so the guard refuses 4.5 first
+        ((0.6, 0.9, 2), (2.0, 3.95, 3)),   # only a later column wraps
+    ], ids=["all_wrap", "guard_before_wrap", "later_column"])
+    def test_refusal_names_the_first_cell_in_t_major_order(self, t, delta):
+        grid = wp.GridSpec(256, -8.0, 8.0)
+        tt, dd = _surface(t, delta)
+        with pytest.raises(QifError) as expected:
+            run_mzi_loop(tt, dd, 0.0, grid)
+        with pytest.raises(QifError) as got:
+            cli._grid_stats(tt, dd, 0.0, grid)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_no_per_cell_objects(self, tmp_path, capsys, monkeypatch):
+        """A structural guard: the number of grid-amplitude objects does not grow with cells."""
+        built = []
+        post_init = wp._GridAmplitudes.__post_init__
+        monkeypatch.setattr(wp._GridAmplitudes, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        counts = []
+        for steps in ("2", "6"):
+            built.clear()
+            argv = ["sweep", "--t", "0.1", "0.9", steps, "--delta", "0.1", "1.9", steps,
+                    "--backend", "grid", "--grid-n", "256", "--out", str(tmp_path / "s.csv")]
+            assert run(argv) == 0
+            counts.append(len(built))
+        assert counts[0] >= 1  # the counter sees the one Gaussian
+        assert counts[0] == counts[1]
+
+
 class TestPropagate:
     def test_quasi_impulsive(self, capsys):
         assert run(["propagate", "--force", "1", "--tau", "0.2",
@@ -395,6 +483,12 @@ REFUSED = [
      .replace("delta=0.2", "delta=0.001"),
      ["simulate", "{file}"], {}, "line 4: recombine: unitarity violated"),
     ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], {}, "mass=1e-320"),
+    # once exit 0 with "mass = inf" and fidelity 1
+    ("propagate_mass_infinite", None, ["propagate", "--mass", "inf"], {},
+     "mass must be positive and finite, got inf"),
+    # once reported as a wrap: nan compares false with the quarter-span guard
+    ("bec_kick_nan", None, ["bec", "--t", "0.5", "--delta-a", "nan", "--delta-b", "0"], {},
+     "kick delta must be finite, got nan"),
     ("propagate_force_overflows", None, ["propagate", "--force", "1e308"], {},
      "potential phase F z dt/2 overflows at force=1e+308"),
     ("sweep_one_step", None,

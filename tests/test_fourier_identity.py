@@ -2,7 +2,10 @@
 
 Each reference below is the plain expression, with every phase factor built
 on the spot.  The comparisons are np.array_equal, not allclose: caching a
-factor or dropping a wrapper object must not move a single bit.
+factor or dropping a wrapper object must not move a single bit.  Where the
+code leaves out factors that cancel exactly (the split-step loop's (-1)^k
+pair, the n of the inverse FFT), the bytes are compared too, since
+np.array_equal does not see the sign of a zero.
 """
 
 import numpy as np
@@ -41,6 +44,11 @@ def ref_apply_impulse(grid, psi, pulse, mass):
     return psi
 
 
+def assert_same_bytes(got, expected):
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
 # On the default grid p_min z is a multiple of pi, so exp(i p_min z) is +-1
 # to rounding; the off-centre grid makes every phase factor a generic number.
 @pytest.fixture(params=[wp.default_grid(), GridSpec(512, -11.3, 12.9)],
@@ -54,7 +62,7 @@ def phi(request):
 
 def test_to_position(phi):
     got = wp.to_position(phi).amplitudes
-    assert np.array_equal(got, ref_to_position(phi.grid, phi.amplitudes))
+    assert_same_bytes(got, ref_to_position(phi.grid, phi.amplitudes))
 
 
 def test_to_momentum(phi):
@@ -68,7 +76,16 @@ def test_shift(phi, delta):
     grid = phi.grid
     expected = ref_to_momentum(
         grid, ref_to_position(grid, phi.amplitudes) * np.exp(1j * delta * grid.z))
-    assert np.array_equal(wp.shift(phi, delta).amplitudes, expected)
+    assert_same_bytes(wp.shift(phi, delta).amplitudes, expected)
+
+
+def test_momentum_phase_is_the_signed_round_trip(phi):
+    grid = phi.grid
+    psi = wp.to_position(phi).amplitudes
+    phase = np.exp(-0.3j * grid.p * grid.p)
+    expected = grid.p_to_z(grid.z_to_p(psi) * phase)
+    work = psi.copy()
+    assert_same_bytes(grid.momentum_phase(work, phase), expected)
 
 
 def test_free_propagate(phi):
@@ -85,7 +102,18 @@ def test_apply_impulse_16_substeps(phi):
     pulse = ImpulsePulse(force=1.3, duration=0.4, substeps=16)
     psi = wp.to_position(phi)
     got = ss.apply_impulse(psi, pulse, PropagationConfig(mass=2.0)).amplitudes
-    assert np.array_equal(got, ref_apply_impulse(phi.grid, psi.amplitudes, pulse, 2.0))
+    assert_same_bytes(got, ref_apply_impulse(phi.grid, psi.amplitudes, pulse, 2.0))
+
+
+@pytest.mark.parametrize("substeps", [1, 400])
+def test_apply_impulse_substep_counts(phi, substeps):
+    """One substep has no merged ramp; 400 (the benchmark's pulse) repeat it many times."""
+    pulse = ImpulsePulse(force=0.9, duration=0.3, substeps=substeps)
+    psi = wp.to_position(phi)
+    before = psi.amplitudes.copy()
+    got = ss.apply_impulse(psi, pulse, PropagationConfig(mass=1e4)).amplitudes
+    assert_same_bytes(got, ref_apply_impulse(phi.grid, before, pulse, 1e4))
+    assert_same_bytes(psi.amplitudes, before)  # the loop works on its own copy
 
 
 def test_phase_factors_built_lazily_once():

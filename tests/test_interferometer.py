@@ -120,6 +120,19 @@ class TestPortStats:
         out_c, _ = mzi.run_mzi(gauss, 0.85, 0.2)
         assert wp.norm(out_c.wavefunction) == pytest.approx(1.0, abs=1e-10)
 
+    def test_rounds_like_the_written_formulas(self, gauss):
+        """P = norm(raw), Phi / sqrt(P), and <p> = mean_momentum of it, bit for bit."""
+        raw_c, _ = mzi.recombine(mzi.apply_kick(mzi.split(gauss, BeamSplitterCoeffs(0.85)),
+                                                0.2, 0.4))
+        prob = wp.norm(raw_c)
+        normalized = MomentumWavefunction(raw_c.grid, raw_c.amplitudes / np.sqrt(prob))
+        mean = float(np.sum(raw_c.grid.p * np.abs(normalized.amplitudes) ** 2)
+                     * raw_c.grid.dp / wp.norm(normalized))
+        out = mzi.port_stats(raw_c, "C")
+        assert (out.probability, out.mean_p) == (prob, mean)
+        assert out.wavefunction.amplitudes.tobytes() == normalized.amplitudes.tobytes()
+        assert wp.mean_momentum(normalized) == mean
+
 
 class TestConservation:
     def test_residual_small_for_random_parameters(self, gauss, rng):
