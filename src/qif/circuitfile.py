@@ -238,8 +238,8 @@ def execute(program: CircuitProgram, grid: Optional[wp.GridSpec] = None) -> Exec
                 state = mzi.phase(state, ins.args["path"], ins.args["alpha"])
             elif ins.name == "recombine":
                 raw_c, raw_d = mzi.recombine(state)
-                out_c = result.outcome_c = mzi.port_stats(raw_c, "C")
-                out_d = result.outcome_d = mzi.port_stats(raw_d, "D")
+                out_c = result.outcome_c = mzi.port_stats(grid, raw_c, "C")
+                out_d = result.outcome_d = mzi.port_stats(grid, raw_d, "D")
                 # arm A's kick moves the input's mean; delta is B's kick relative to A's
                 result.conservation_residual = float(mzi.check_ports(
                     out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p, bs_t,

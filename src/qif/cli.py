@@ -54,41 +54,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _grid_stats(t, delta, alpha, grid):
-    """run_mzi per cell on one Gaussian, as the PortStats that stats_grid returns.
-
-    Bit for bit, on plain arrays, one delta column at a time with one guard and
-    kick ramp each; a refusal is the one run_mzi meets first in flat order.
-    """
-    gauss = wp.gaussian_init(wp.GaussianParams(), grid).amplitudes
-    t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
-    stats, columns, refused = np.empty((4, t.size)), {}, None
-    for i, d in enumerate(delta.flat):
-        columns.setdefault(d, []).append(i)
-    for d, cells in columns.items():
-        ramp = None
-        for i in cells:
-            if refused and i > refused[0]:
-                break
-            try:
-                b = 1j * mzi.BeamSplitterCoeffs(t.flat[i]).r * gauss
-                if d != 0.0:  # a shift by 0 returns its input
-                    if ramp is None:
-                        wp.check_aliasing_guard(grid, d)
-                        ramp = np.exp(1j * d * grid.z)
-                    wp.check_wrap(grid, b, d)  # per cell: r = 0 never wraps
-                    b = grid.z_to_p(grid.p_to_z(b) * ramp)
-            except QifError as exc:
-                refused = i, exc
-                break
-            ports = mzi.balanced_ports(t.flat[i] * gauss, np.exp(1j * alpha.flat[i]) * b)
-            (p_c, mean_c, _), (p_d, mean_d, _) = (mzi.port_moments(grid, raw) for raw in ports)
-            stats[:, i] = p_c, mean_c, p_d, mean_d
-    if refused is not None:
-        raise refused[1]
-    return mzi.PortStats(*stats.reshape((4,) + t.shape))
-
-
 def cmd_sweep(args) -> int:
     for name, value in zip(("--t LO", "--t HI", "--delta LO", "--delta HI", "--alpha"),
                            (*args.t[:2], *args.delta[:2], args.alpha)):
@@ -116,7 +81,7 @@ def cmd_sweep(args) -> int:
         stats = analytic.stats_grid(tt, dd, args.alpha)
         tolerance = mzi.ORACLE_CONSERVATION_TOLERANCE
     else:
-        stats = _grid_stats(tt, dd, args.alpha, grid)
+        stats = mzi.stats_grid(wp.gaussian_init(wp.GaussianParams(), grid), tt, dd, args.alpha)
         tolerance = mzi.CONSERVATION_TOLERANCE
     residual = mzi.check_ports(*stats, tt, dd, tolerance=tolerance)
     # streamed one t row at a time; each delta, alpha pair is formatted once
@@ -151,7 +116,8 @@ def cmd_oracle_check(args) -> int:
     samples = rng.uniform((0.05, 0.0, 0.0), (0.95, 2.0, 2.0 * np.pi), size=(args.samples, 3))
     oracle = np.array(analytic.stats_grid(*samples.T))
     # a dark mean is nan on either side and drops out of the sample's maximum
-    devs = np.nanmax(np.abs(oracle - _grid_stats(*samples.T, grid)), axis=0)
+    gauss = wp.gaussian_init(wp.GaussianParams(), grid)
+    devs = np.nanmax(np.abs(oracle - mzi.stats_grid(gauss, *samples.T)), axis=0)
     i = np.argmax(devs)
     worst, worst_at = devs[i], samples[i]
     print(f"samples = {args.samples}, seed = {args.seed}, grid n = {grid.n_points}")
@@ -289,7 +255,7 @@ def main(argv=None) -> int:
     except (QifError, UnicodeDecodeError) as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, circuitfile.ParseError) else EXIT_RUNTIME
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # numpy's MemoryError names the array
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,10 +1,11 @@
 """The two-mode state, its primitive operations, and the Mach-Zehnder pipeline.
 
-A two-mode state holds one momentum wavefunction per mode.  The modes are
-the arms A and B of a spatial interferometer, or the internal states |A>
-and |B> of an atom (see spinor).  Every pipeline is built from the same
-per-mode primitives, kick, phase and select, plus a mixer for each kind of
-beam splitter.
+A two-mode state holds a grid and a plain amplitude array per mode.  The
+modes are the arms A and B of a spatial interferometer, or the internal
+states |A> and |B> of an atom (see spinor).  Every pipeline is built from the
+same per-mode primitives, kick, phase and select, plus a mixer for each kind
+of beam splitter.  They read and return arrays; checked wavefunctions are
+built only at the source and at the ports (port_stats).
 
 Conventions: the first beam splitter has real transmission t and reflection
 i*r with r = sqrt(1 - t^2); the second beam splitter is fixed balanced with
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import wavepacket as wp
-from .errors import GridMismatchError, ParameterError, QifError
+from .errors import ParameterError, QifError
 from .wavepacket import DARK_THRESHOLD, MomentumWavefunction
 
 _SQRT2 = np.sqrt(2.0)
@@ -52,20 +53,15 @@ class BeamSplitterCoeffs:
 
 @dataclass(frozen=True)
 class TwoPathState:
-    """Wavefunctions of modes A and B, on a shared grid.
+    """Momentum amplitudes of modes A and B on one grid.
 
-    The modes are interferometer arms or internal atomic states.
+    The modes are interferometer arms or internal atomic states.  States
+    may share arrays: no operation writes one in place.
     """
 
-    path_a: MomentumWavefunction
-    path_b: MomentumWavefunction
-
-    def __post_init__(self):
-        if self.path_a.grid != self.path_b.grid:
-            raise GridMismatchError("mode wavefunctions must share a grid")
-
-    def total_norm(self) -> float:
-        return wp.norm(self.path_a) + wp.norm(self.path_b)
+    grid: wp.GridSpec
+    path_a: np.ndarray
+    path_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,10 +94,7 @@ class PortStats(NamedTuple):
 def split(input_wf: MomentumWavefunction, bs: BeamSplitterCoeffs) -> TwoPathState:
     """First beam splitter: arm A gets t*Phi, arm B gets i*r*Phi."""
     amp = input_wf.amplitudes
-    return TwoPathState(
-        path_a=MomentumWavefunction(input_wf.grid, bs.t * amp),
-        path_b=MomentumWavefunction(input_wf.grid, 1j * bs.r * amp),
-    )
+    return TwoPathState(input_wf.grid, bs.t * amp, 1j * bs.r * amp)
 
 
 def _mode_field(mode: str) -> str:
@@ -113,20 +106,20 @@ def _mode_field(mode: str) -> str:
 def kick(state: TwoPathState, mode: str, delta: float) -> TwoPathState:
     """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta)."""
     name = _mode_field(mode)
-    return replace(state, **{name: wp.shift(getattr(state, name), delta)})
+    return replace(state, **{name: wp.shift_amplitudes(state.grid, getattr(state, name), delta)})
 
 
 def phase(state: TwoPathState, mode: str, alpha: float) -> TwoPathState:
-    """Multiply one mode by e^(i alpha)."""
+    """Multiply one mode by e^(i alpha); alpha must be finite."""
     name = _mode_field(mode)
-    wf = getattr(state, name)
-    turned = MomentumWavefunction(wf.grid, np.exp(1j * alpha) * wf.amplitudes)
-    return replace(state, **{name: turned})
+    if not np.isfinite(alpha):  # refused before numpy builds e^(i alpha) and warns
+        raise ParameterError(f"phase alpha must be finite, got {alpha}")
+    return replace(state, **{name: np.exp(1j * alpha) * getattr(state, name)})
 
 
 def select(state: TwoPathState, mode: str, port: str) -> PortOutcome:
     """Post-select one mode; the outcome is labelled with port."""
-    return port_stats(getattr(state, _mode_field(mode)), port)
+    return port_stats(state.grid, getattr(state, _mode_field(mode)), port)
 
 
 def apply_kick(state: TwoPathState, delta: float, alpha: float = 0.0) -> TwoPathState:
@@ -137,28 +130,21 @@ def apply_kick(state: TwoPathState, delta: float, alpha: float = 0.0) -> TwoPath
 def recombine(state: TwoPathState):
     """Second (balanced) beam splitter.
 
-    Returns the raw, unnormalized port wavefunctions
+    Returns the raw, unnormalized port amplitudes
         raw_c = (a + i b) / sqrt(2),   raw_d = (a - i b) / sqrt(2),
     which for a state prepared by split + apply_kick reduce to
         raw_c = (t Phi(p) - r e^(i alpha) Phi(p - delta)) / sqrt(2)
-    and the + counterpart at port D.  Pointwise unitary, so
-    norm(raw_c) + norm(raw_d) equals the total input norm.
+    and the + counterpart at port D.  Pointwise unitary, so the two port
+    norms add up to the total input norm.
     """
-    grid = state.path_a.grid
-    raw = balanced_ports(state.path_a.amplitudes, state.path_b.amplitudes)
-    return tuple(MomentumWavefunction(grid, amp) for amp in raw)
-
-
-def balanced_ports(a: np.ndarray, b: np.ndarray):
-    """The raw port amplitudes (a + i b) / sqrt(2) and (a - i b) / sqrt(2) of recombine."""
+    a, b = state.path_a, state.path_b
     return (a + 1j * b) / _SQRT2, (a - 1j * b) / _SQRT2
 
 
-def port_stats(raw: MomentumWavefunction, port: str) -> PortOutcome:
-    """Probability, normalized wavefunction and conditional mean at a port."""
-    prob, mean, amp = port_moments(raw.grid, raw.amplitudes)
-    wf = raw if np.isnan(mean) else MomentumWavefunction(raw.grid, amp)
-    return PortOutcome(port=port, probability=prob, wavefunction=wf, mean_p=mean)
+def port_stats(grid: wp.GridSpec, raw: np.ndarray, port: str) -> PortOutcome:
+    """Probability, normalized wavefunction and conditional mean of port amplitudes raw."""
+    prob, mean, amp = port_moments(grid, raw)
+    return PortOutcome(port, prob, MomentumWavefunction(grid, amp), mean)
 
 
 def port_moments(grid: wp.GridSpec, raw: np.ndarray):
@@ -204,6 +190,29 @@ def check_ports(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0,
 
 def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float, alpha: float = 0.0):
     """Full pipeline: split, kick arm B, recombine, post-select both ports."""
-    state = apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha)
-    raw_c, raw_d = recombine(state)
-    return port_stats(raw_c, "C"), port_stats(raw_d, "D")
+    raw_c, raw_d = recombine(apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha))
+    return port_stats(input_wf.grid, raw_c, "C"), port_stats(input_wf.grid, raw_d, "D")
+
+
+def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats:
+    """run_mzi's P and <p> at each cell of broadcast t, delta, alpha, as analytic.stats_grid.
+
+    Cells run in stable delta order, so one kick ramp serves a delta column;
+    a refusal is the one a t-major run_mzi loop meets first.
+    """
+    grid = input_wf.grid
+    t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
+    stats, refused = np.empty((4, t.size)), None
+    for i in np.argsort(delta, axis=None, kind="stable").tolist():
+        if refused is not None and i > refused[0]:
+            continue
+        try:
+            state = apply_kick(split(input_wf, BeamSplitterCoeffs(t.flat[i])),
+                               delta.flat[i], alpha.flat[i])
+        except QifError as exc:
+            refused = i, exc
+            continue
+        stats[:, i] = [m for raw in recombine(state) for m in port_moments(grid, raw)[:2]]
+    if refused is not None:
+        raise refused[1]
+    return PortStats(*stats.reshape((4,) + t.shape))

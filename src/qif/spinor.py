@@ -17,7 +17,7 @@ import numpy as np
 from . import interferometer as mzi
 from . import wavepacket as wp
 from .interferometer import BeamSplitterCoeffs, PortOutcome, TwoPathState
-from .wavepacket import GaussianParams, MomentumWavefunction
+from .wavepacket import GaussianParams
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -28,14 +28,9 @@ def microwave_pulse(state: TwoPathState, t_coeff: float) -> TwoPathState:
     Maps |A> to t|A> + sqrt(1-t^2)|B> and, unitarily,
     |B> to -sqrt(1-t^2)|A> + t|B>.  t_coeff = 1/sqrt(2) is a pi/2 pulse.
     """
-    coeffs = BeamSplitterCoeffs(t_coeff)
-    t, r = coeffs.t, coeffs.r
-    a, b = state.path_a.amplitudes, state.path_b.amplitudes
-    grid = state.path_a.grid
-    return TwoPathState(
-        path_a=MomentumWavefunction(grid, t * a - r * b),
-        path_b=MomentumWavefunction(grid, r * a + t * b),
-    )
+    bs = BeamSplitterCoeffs(t_coeff)
+    a, b = state.path_a, state.path_b
+    return TwoPathState(state.grid, bs.t * a - bs.r * b, bs.r * a + bs.t * b)
 
 
 def stern_gerlach(state: TwoPathState, delta_a: float, delta_b: float) -> TwoPathState:
@@ -55,8 +50,8 @@ def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
     """
     if grid is None:
         grid = wp.default_grid()
-    empty = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
-    state = TwoPathState(wp.gaussian_init(GaussianParams(), grid), empty)
+    empty = np.zeros(grid.n_points, dtype=complex)
+    state = TwoPathState(grid, wp.gaussian_init(GaussianParams(), grid).amplitudes, empty)
     state = microwave_pulse(state, t_coeff)
     state = stern_gerlach(state, delta_a, delta_b)
     state = microwave_pulse(state, _SQRT1_2)

@@ -121,7 +121,7 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
 def shift_position_state(wf: PositionWavefunction, delta: float) -> PositionWavefunction:
     """Exact momentum displacement of a position-space state (phase ramp)."""
     wp.check_aliasing_guard(wf.grid, delta)
-    return PositionWavefunction(wf.grid, wf.amplitudes * np.exp(1j * delta * wf.grid.z))
+    return PositionWavefunction(wf.grid, wf.amplitudes * wf.grid.kick_ramp(delta))
 
 
 def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
@@ -146,9 +146,11 @@ def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePu
     kinetic phase common to both arms cancels; in the impulsive regime the
     port statistics then match the idealized run with alpha = 0.
     """
+    grid = input_wf.grid
     state = mzi.split(input_wf, mzi.BeamSplitterCoeffs(t))
-    psi_a = free_propagate(wp.to_position(state.path_a), pulse.duration, config)
-    psi_b = apply_impulse(wp.to_position(state.path_b), pulse, config)
-    evolved = mzi.TwoPathState(wp.to_momentum(psi_a), wp.to_momentum(psi_b))
+    psi_a = free_propagate(PositionWavefunction(grid, grid.p_to_z(state.path_a)),
+                           pulse.duration, config)
+    psi_b = apply_impulse(PositionWavefunction(grid, grid.p_to_z(state.path_b)), pulse, config)
+    evolved = mzi.TwoPathState(grid, grid.z_to_p(psi_a.amplitudes), grid.z_to_p(psi_b.amplitudes))
     raw_c, raw_d = mzi.recombine(evolved)
-    return mzi.port_stats(raw_c, "C"), mzi.port_stats(raw_d, "D")
+    return mzi.port_stats(grid, raw_c, "C"), mzi.port_stats(grid, raw_d, "D")

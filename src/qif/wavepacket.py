@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (AliasingError, GridMismatchError, GridTooNarrowError, ParameterError,
-                     ZeroNormError)
+from .errors import AliasingError, GridTooNarrowError, ParameterError, ZeroNormError
 
 #: Below this norm a state is treated as a dark port (exact destructive
 #: interference up to rounding): it has no defined mean, and port
@@ -93,6 +92,15 @@ class GridSpec:
     def z_to_p(self, psi: np.ndarray) -> np.ndarray:
         """Inverse of p_to_z."""
         return np.fft.fft(psi * self._p_ramp) * self._signs * self._p_scale
+
+    def kick_ramp(self, delta: float) -> np.ndarray:
+        """exp(i delta z), read-only.  Only the last delta's ramp is kept, never one per delta."""
+        key = delta, np.copysign(1.0, delta)  # the ramp of -0.0 has other signed zeros
+        last = self.__dict__.get("_kick_ramp", (None, None))
+        if last[0] != key:
+            last = self.__dict__["_kick_ramp"] = key, np.exp(1j * delta * self.z)
+            last[1].setflags(write=False)
+        return last[1]
 
     def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """p_to_z(z_to_p(psi) * phase), overwriting psi.
@@ -193,13 +201,6 @@ def first_moment(grid: GridSpec, amp: np.ndarray) -> float:
     return float(np.sum(grid.p * prob) * grid.dp / n)
 
 
-def variance_momentum(wf: MomentumWavefunction) -> float:
-    """Second central moment of |Phi(p)|^2. Raises on dark states."""
-    mean = mean_momentum(wf)  # raises on a dark state
-    prob = np.abs(wf.amplitudes) ** 2
-    return float(np.sum((wf.grid.p - mean) ** 2 * prob) * wf.grid.dp / norm(wf))
-
-
 def to_position(wf: MomentumWavefunction) -> PositionWavefunction:
     """Unitary transform to position space (GridSpec.p_to_z)."""
     return PositionWavefunction(wf.grid, wf.grid.p_to_z(wf.amplitudes))
@@ -224,8 +225,18 @@ def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
         raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")
 
 
-def check_wrap(grid: GridSpec, amp: np.ndarray, delta: float) -> None:
-    """Refuse a shift of amp by delta that wraps over WRAP_TOLERANCE of its norm."""
+def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarray:
+    """The amplitudes amp(p - delta): a rigid momentum displacement on grid.
+
+    Realized as the phase ramp exp(i delta z) in position space, which is
+    exact for band-limited content and works for arbitrary delta.  Guarded
+    against wrap-around: |delta| must stay below a quarter of the grid span,
+    and no more than WRAP_TOLERANCE of the norm may be moved past an edge.
+    A shift by 0 returns amp itself.
+    """
+    check_aliasing_guard(grid, delta)
+    if delta == 0.0:
+        return amp
     # p + delta is sorted, so the nodes that land outside are a prefix and a suffix
     lo, hi = np.searchsorted(grid.p + delta, (grid.p_min, grid.p_max))
     wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
@@ -233,27 +244,10 @@ def check_wrap(grid: GridSpec, amp: np.ndarray, delta: float) -> None:
     if wrapped > WRAP_TOLERANCE * total:
         raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
                             "past the grid edge")
+    return grid.z_to_p(grid.p_to_z(amp) * grid.kick_ramp(delta))
 
 
 def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
-    """Rigid momentum displacement Phi(p) -> Phi(p - delta).
-
-    Realized as the phase ramp exp(i delta z) in position space, which is
-    exact for band-limited content and works for arbitrary delta.  Guarded
-    against wrap-around: |delta| must stay below a quarter of the grid span,
-    and no more than WRAP_TOLERANCE of the norm may be moved past an edge.
-    """
-    grid = wf.grid
-    check_aliasing_guard(grid, delta)
-    if delta == 0.0:
-        return wf
-    check_wrap(grid, wf.amplitudes, delta)
-    psi = grid.p_to_z(wf.amplitudes)
-    return MomentumWavefunction(grid, grid.z_to_p(psi * np.exp(1j * delta * grid.z)))
-
-
-def overlap(wf1: MomentumWavefunction, wf2: MomentumWavefunction) -> complex:
-    """Inner product <Phi1|Phi2> as a Riemann sum."""
-    if wf1.grid != wf2.grid:
-        raise GridMismatchError("overlap requires identical grids")
-    return complex(np.sum(np.conj(wf1.amplitudes) * wf2.amplitudes) * wf1.grid.dp)
+    """Phi(p) -> Phi(p - delta), as shift_amplitudes; a shift by 0 returns wf."""
+    amp = shift_amplitudes(wf.grid, wf.amplitudes, delta)
+    return wf if amp is wf.amplitudes else MomentumWavefunction(wf.grid, amp)

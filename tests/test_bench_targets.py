@@ -1,22 +1,48 @@
-"""The benchmark's traced functions must exist in the package.
+"""The benchmark's traced functions must exist in the package and keep their conventions.
 
 bench/spans.py wraps each name in its NAMES with getattr; a rename or a
 deletion there would otherwise surface only as a crash of ``--trace 1``.
+Beyond callability, its wrapper reads ``is_dark`` from what ``port_stats``
+returns and ``substeps`` from ``apply_impulse``'s second positional argument.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from qif import cli
+from qif.errors import QifError
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_every_span_target_is_callable():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_span_target_is_callable():
+    spans = _spans()
     assert spans.NAMES
     for name in spans.NAMES:
         module, func = name.split(".")
         target = getattr(importlib.import_module("qif." + module), func, None)
         assert callable(target), name
+
+
+def test_traced_run_reads_dark_ports_and_substeps(tmp_path, capsys):
+    # t = r at delta = 0: port C is dark, port D is not
+    circuit = tmp_path / "dark.qif"
+    circuit.write_text("source width=1 mean=0\nbs t=0.7071067811865476\nrecombine\n"
+                       "select port=D\nreport moments\n")
+    tracer = _spans().Tracer(QifError)
+    tracer.install()
+    try:
+        assert cli.main(["simulate", str(circuit)]) == 0
+        assert cli.main(["propagate", "--substeps", "3"]) == 0
+    finally:
+        tracer.remove()
+    assert tracer.dark_ports == 1
+    assert tracer.substeps == 3

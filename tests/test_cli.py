@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import program_gen
-from qif import analytic, circuitfile, cli, interferometer as mzi, wavepacket as wp
+from qif import analytic, circuitfile, cli, interferometer as mzi, spinor, wavepacket as wp
 from qif.errors import QifError
 
 CANONICAL = """\
@@ -240,8 +240,13 @@ class TestOracleCheck:
         assert coarse > 100 * fine
 
 
+def grid_stats(t, delta, alpha, grid):
+    """The surface that sweep --backend grid and oracle-check compute."""
+    return mzi.stats_grid(wp.gaussian_init(wp.GaussianParams(), grid), t, delta, alpha)
+
+
 def run_mzi_loop(t, delta, alpha, grid):
-    """run_mzi cell by cell: the reference that cli._grid_stats matches bit for bit."""
+    """run_mzi cell by cell: the reference that mzi.stats_grid matches bit for bit."""
     gauss = wp.gaussian_init(wp.GaussianParams(), grid)
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
     stats = np.empty((4, t.size))
@@ -254,17 +259,27 @@ def run_mzi_loop(t, delta, alpha, grid):
 T_DARK = 0.7071067811865476  # t = r: port C is dark at delta = 0, alpha = 0
 
 
+@pytest.fixture()
+def built_amplitudes(monkeypatch):
+    """Counts the checked grid-amplitude objects built while a test runs."""
+    built = []
+    post_init = wp._GridAmplitudes.__post_init__
+    monkeypatch.setattr(wp._GridAmplitudes, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    return built
+
+
 def _surface(t, delta):
     return np.meshgrid(np.linspace(*t), np.linspace(*delta), indexing="ij")
 
 
 class TestGridStats:
-    """cli._grid_stats works on plain arrays and still equals the run_mzi loop byte for byte."""
+    """mzi.stats_grid equals the run_mzi loop byte for byte."""
 
     @staticmethod
     def assert_same_bytes(t, delta, alpha, grid=None):
         grid = grid or wp.default_grid()
-        got = cli._grid_stats(t, delta, alpha, grid)
+        got = grid_stats(t, delta, alpha, grid)
         expected = run_mzi_loop(t, delta, alpha, grid)
         for column, reference in zip(got, expected):
             assert column.shape == reference.shape
@@ -306,25 +321,68 @@ class TestGridStats:
         with pytest.raises(QifError) as expected:
             run_mzi_loop(tt, dd, 0.0, grid)
         with pytest.raises(QifError) as got:
-            cli._grid_stats(tt, dd, 0.0, grid)
+            grid_stats(tt, dd, 0.0, grid)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
 
-    def test_no_per_cell_objects(self, tmp_path, capsys, monkeypatch):
+    def test_no_per_cell_objects(self, tmp_path, capsys, built_amplitudes):
         """A structural guard: the number of grid-amplitude objects does not grow with cells."""
-        built = []
-        post_init = wp._GridAmplitudes.__post_init__
-        monkeypatch.setattr(wp._GridAmplitudes, "__post_init__",
-                            lambda self: built.append(1) or post_init(self))
         counts = []
         for steps in ("2", "6"):
-            built.clear()
+            built_amplitudes.clear()
             argv = ["sweep", "--t", "0.1", "0.9", steps, "--delta", "0.1", "1.9", steps,
                     "--backend", "grid", "--grid-n", "256", "--out", str(tmp_path / "s.csv")]
             assert run(argv) == 0
-            counts.append(len(built))
+            counts.append(len(built_amplitudes))
         assert counts[0] >= 1  # the counter sees the one Gaussian
         assert counts[0] == counts[1]
+
+
+def written_cell(gauss, t, delta, alpha):
+    """One cell's raw port amplitudes, every operation written out in the pipeline's order."""
+    grid, phi = gauss.grid, gauss.amplitudes
+    a, b = t * phi, 1j * float(np.sqrt(1.0 - t * t)) * phi
+    if delta != 0.0:  # a shift by 0 returns its input
+        b = grid.z_to_p(grid.p_to_z(b) * np.exp(1j * delta * grid.z))
+    b = np.exp(1j * alpha) * b
+    return (a + 1j * b) / np.sqrt(2.0), (a - 1j * b) / np.sqrt(2.0)
+
+
+#: (t, delta, alpha): a dark cell at delta = -0.0, a t = 1 cell, alpha = -0 on a negative kick
+PIN_CELLS = [(0.85, 0.2, 0.0), (0.6, 0.5, 1.1), (T_DARK, -0.0, 0.0), (1.0, 0.7, 0.3),
+             (0.3, -1.3, -0.0)]
+
+
+class TestWrittenCell:
+    """A bit pin of the kernel against its arithmetic written out, not only against run_mzi."""
+
+    @pytest.mark.parametrize("t, delta, alpha", PIN_CELLS)
+    def test_pipeline_equals_the_written_cell(self, gauss, t, delta, alpha):
+        state = mzi.apply_kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(t)), delta, alpha)
+        for got, expected in zip(mzi.recombine(state), written_cell(gauss, t, delta, alpha)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_surface_equals_the_written_cells(self, gauss):
+        surface = mzi.stats_grid(gauss, *np.array(PIN_CELLS).T)
+        for i, cell in enumerate(PIN_CELLS):
+            expected = [m for raw in written_cell(gauss, *cell)
+                        for m in mzi.port_moments(gauss.grid, raw)[:2]]
+            got = [column[i] for column in surface]
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+class TestObjectsPerCall:
+    """Checked wavefunctions are built at the source and at the ports only."""
+
+    def test_reference_simulate(self, tmp_path, capsys, built_amplitudes):
+        path = tmp_path / "ref.qif"
+        path.write_text(CANONICAL.replace("recombine", "phase path=B alpha=0.3\nrecombine"))
+        assert run(["simulate", str(path)]) == 0
+        assert 1 <= len(built_amplitudes) <= 3  # the source and two ports
+
+    def test_run_protocol(self, grid, built_amplitudes):
+        spinor.run_protocol(0.85, 0.1, 0.3, grid)
+        assert 1 <= len(built_amplitudes) <= 2  # the source and the selected state
 
 
 class TestPropagate:
@@ -500,6 +558,19 @@ REFUSED = [
     ("sweep_too_many_cells", None,
      ["sweep", "--t", "0.1", "0.9", "1e300", "--delta", "0", "1", "2", "--out", "{file}"], {},
      "exceeds MAX_SWEEP_CELLS"),
+    # numpy refuses these PiB arrays before it touches memory: once a traceback, exit 1
+    ("oracle_check_samples_past_memory", None,
+     ["oracle-check", "--samples", str(10 ** 15), "--seed", "1"], {}, "error: Unable to allocate"),
+    ("bec_grid_past_memory", None,
+     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 50)], {},
+     "error: Unable to allocate"),
+    ("propagate_grid_past_memory", None, ["propagate", "--grid-n", str(2 ** 50)], {},
+     "error: Unable to allocate"),
+    ("grid_env_past_memory", CANONICAL,
+     ["simulate", "{file}"], {"QIF_GRID_N": str(2 ** 50)}, "error: Unable to allocate"),
+    ("grid_sweep_past_memory", None,
+     ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
+      "--grid-n", str(2 ** 50), "--out", "{file}"], {}, "error: Unable to allocate"),
     # finite bounds whose difference overflows; argparse reads "-1e308" as an option
     ("sweep_delta_span_overflows", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "-1" + "0" * 308, "1e308", "3",

@@ -1,15 +1,20 @@
 """Two-path pipeline: beam splitters, kicks, post-selection, conservation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qif import interferometer as mzi
 from qif import wavepacket as wp
-from qif.errors import QifError
+from qif.errors import ParameterError, QifError
 from qif.interferometer import BeamSplitterCoeffs
 from qif.wavepacket import GaussianParams, MomentumWavefunction
+
+
+def _norm(grid, amp):
+    return float(np.sum(np.abs(amp) ** 2) * grid.dp)
 
 
 class TestBeamSplitter:
@@ -25,65 +30,71 @@ class TestBeamSplitter:
 
     def test_full_transmission(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(1.0))
-        assert wp.norm(state.path_b) == 0.0
-        np.testing.assert_array_equal(state.path_a.amplitudes, gauss.amplitudes)
+        assert _norm(state.grid, state.path_b) == 0.0
+        np.testing.assert_array_equal(state.path_a, gauss.amplitudes)
 
     def test_full_reflection(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.0))
-        assert wp.norm(state.path_a) == 0.0
-        np.testing.assert_allclose(state.path_b.amplitudes, 1j * gauss.amplitudes)
+        assert _norm(state.grid, state.path_a) == 0.0
+        np.testing.assert_allclose(state.path_b, 1j * gauss.amplitudes)
 
     def test_balanced(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(1 / np.sqrt(2)))
-        assert wp.norm(state.path_a) == pytest.approx(0.5, abs=1e-10)
-        assert wp.norm(state.path_b) == pytest.approx(0.5, abs=1e-10)
+        assert _norm(state.grid, state.path_a) == pytest.approx(0.5, abs=1e-10)
+        assert _norm(state.grid, state.path_b) == pytest.approx(0.5, abs=1e-10)
 
 
 class TestApplyKick:
     def test_noop(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
         kicked = mzi.apply_kick(state, 0.0)
-        np.testing.assert_array_equal(kicked.path_b.amplitudes, state.path_b.amplitudes)
+        np.testing.assert_array_equal(kicked.path_b, state.path_b)
 
     def test_kick_moves_arm_b_only(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
         kicked = mzi.apply_kick(state, 0.2)
-        np.testing.assert_array_equal(kicked.path_a.amplitudes, state.path_a.amplitudes)
-        assert wp.mean_momentum(kicked.path_b) == pytest.approx(0.2, abs=1e-9)
-        assert wp.norm(kicked.path_b) == pytest.approx(1 - 0.85 ** 2, abs=1e-10)
+        np.testing.assert_array_equal(kicked.path_a, state.path_a)
+        assert wp.first_moment(state.grid, kicked.path_b) == pytest.approx(0.2, abs=1e-9)
+        assert _norm(state.grid, kicked.path_b) == pytest.approx(1 - 0.85 ** 2, abs=1e-10)
 
     def test_pi_phase_negates(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
         plain = mzi.apply_kick(state, 0.2)
         flipped = mzi.apply_kick(state, 0.2, alpha=np.pi)
-        np.testing.assert_allclose(
-            flipped.path_b.amplitudes, -plain.path_b.amplitudes, atol=1e-12
-        )
+        np.testing.assert_allclose(flipped.path_b, -plain.path_b, atol=1e-12)
 
     def test_alpha_is_beta_plus_gamma(self, gauss):
         # propagation phase beta then kick phase gamma act as one alpha
         state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
         twice = mzi.phase(mzi.phase(state, "B", 0.3), "B", 0.4)
         once = mzi.phase(state, "B", 0.7)
-        np.testing.assert_allclose(twice.path_b.amplitudes, once.path_b.amplitudes,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(twice.path_a.amplitudes, state.path_a.amplitudes)
+        np.testing.assert_allclose(twice.path_b, once.path_b, atol=1e-12)
+        np.testing.assert_array_equal(twice.path_a, state.path_a)
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_phase_refused_without_a_warning(self, gauss, alpha):
+        state = mzi.split(gauss, BeamSplitterCoeffs(0.85))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="phase alpha must be finite"):
+                mzi.phase(state, "B", alpha)
 
 
 class TestRecombine:
     def test_dark_port(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(1 / np.sqrt(2)))
         raw_c, _ = mzi.recombine(mzi.apply_kick(state, 0.0))
-        assert wp.norm(raw_c) == pytest.approx(0.0, abs=1e-15)
+        assert _norm(state.grid, raw_c) == pytest.approx(0.0, abs=1e-15)
 
     def test_port_probability(self, gauss):
         state = mzi.apply_kick(
             mzi.split(gauss, BeamSplitterCoeffs(0.85)), 0.2
         )
         raw_c, raw_d = mzi.recombine(state)
-        assert wp.norm(raw_c) == pytest.approx(0.05669005452584719, abs=1e-9)
-        assert abs(wp.norm(raw_c) - 0.057) < 1e-3
-        assert wp.norm(raw_c) + wp.norm(raw_d) == pytest.approx(1.0, abs=1e-9)
+        p_c, p_d = _norm(state.grid, raw_c), _norm(state.grid, raw_d)
+        assert p_c == pytest.approx(0.05669005452584719, abs=1e-9)
+        assert abs(p_c - 0.057) < 1e-3
+        assert p_c + p_d == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_port_wavefunctions(self, gauss):
         # raw_c must equal (t Phi(p) - r e^(i alpha) Phi(p-delta)) / sqrt(2)
@@ -98,8 +109,8 @@ class TestRecombine:
                     - r * np.exp(1j * alpha) * shifted.amplitudes) / np.sqrt(2)
         expect_d = (t * gauss.amplitudes
                     + r * np.exp(1j * alpha) * shifted.amplitudes) / np.sqrt(2)
-        np.testing.assert_allclose(raw_c.amplitudes, expect_c, atol=1e-12)
-        np.testing.assert_allclose(raw_d.amplitudes, expect_d, atol=1e-12)
+        np.testing.assert_allclose(raw_c, expect_c, atol=1e-12)
+        np.testing.assert_allclose(raw_d, expect_d, atol=1e-12)
 
 
 class TestPortStats:
@@ -110,8 +121,7 @@ class TestPortStats:
         assert out_d.mean_p > 0
 
     def test_dark_port_flag(self, grid):
-        zero = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
-        out = mzi.port_stats(zero, "C")
+        out = mzi.port_stats(grid, np.zeros(grid.n_points, dtype=complex), "C")
         assert out.probability == 0.0
         assert out.is_dark
         assert np.isnan(out.mean_p)
@@ -124,11 +134,12 @@ class TestPortStats:
         """P = norm(raw), Phi / sqrt(P), and <p> = mean_momentum of it, bit for bit."""
         raw_c, _ = mzi.recombine(mzi.apply_kick(mzi.split(gauss, BeamSplitterCoeffs(0.85)),
                                                 0.2, 0.4))
-        prob = wp.norm(raw_c)
-        normalized = MomentumWavefunction(raw_c.grid, raw_c.amplitudes / np.sqrt(prob))
-        mean = float(np.sum(raw_c.grid.p * np.abs(normalized.amplitudes) ** 2)
-                     * raw_c.grid.dp / wp.norm(normalized))
-        out = mzi.port_stats(raw_c, "C")
+        grid = gauss.grid
+        prob = wp.norm(MomentumWavefunction(grid, raw_c))
+        normalized = MomentumWavefunction(grid, raw_c / np.sqrt(prob))
+        mean = float(np.sum(grid.p * np.abs(normalized.amplitudes) ** 2)
+                     * grid.dp / wp.norm(normalized))
+        out = mzi.port_stats(grid, raw_c, "C")
         assert (out.probability, out.mean_p) == (prob, mean)
         assert out.wavefunction.amplitudes.tobytes() == normalized.amplitudes.tobytes()
         assert wp.mean_momentum(normalized) == mean

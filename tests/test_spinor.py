@@ -6,15 +6,15 @@ import pytest
 from qif import interferometer as mzi
 from qif import spinor, wavepacket as wp
 from qif.interferometer import TwoPathState
-from qif.wavepacket import GaussianParams, MomentumWavefunction
+from qif.wavepacket import GaussianParams
 
 
 @pytest.fixture(scope="module")
 def pure_a():
     # all atoms in |A> with a Gaussian momentum wavefunction
     grid = wp.default_grid()
-    empty = MomentumWavefunction(grid, np.zeros(grid.n_points, dtype=complex))
-    return TwoPathState(wp.gaussian_init(GaussianParams(), grid), empty)
+    empty = np.zeros(grid.n_points, dtype=complex)
+    return TwoPathState(grid, wp.gaussian_init(GaussianParams(), grid).amplitudes, empty)
 
 
 def _raw(outcome):
@@ -24,31 +24,20 @@ def _raw(outcome):
 class TestMicrowavePulse:
     def test_identity_pulse(self, pure_a):
         out = spinor.microwave_pulse(pure_a, 1.0)
-        np.testing.assert_array_equal(out.path_a.amplitudes, pure_a.path_a.amplitudes)
-        np.testing.assert_array_equal(out.path_b.amplitudes, pure_a.path_b.amplitudes)
+        np.testing.assert_array_equal(out.path_a, pure_a.path_a)
+        np.testing.assert_array_equal(out.path_b, pure_a.path_b)
 
     def test_pi_half_pulse_on_pure_a(self, pure_a):
         out = spinor.microwave_pulse(pure_a, 1 / np.sqrt(2))
-        np.testing.assert_allclose(
-            out.path_a.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            out.path_b.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
-        )
+        np.testing.assert_allclose(out.path_a, pure_a.path_a / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(out.path_b, pure_a.path_a / np.sqrt(2), atol=1e-12)
 
     def test_pi_half_pulse_on_pure_b(self, pure_a):
-        grid = pure_a.path_a.grid
-        pure_b = TwoPathState(
-            path_a=MomentumWavefunction(grid, np.zeros(grid.n_points, complex)),
-            path_b=pure_a.path_a,
-        )
+        grid = pure_a.grid
+        pure_b = TwoPathState(grid, np.zeros(grid.n_points, complex), pure_a.path_a)
         out = spinor.microwave_pulse(pure_b, 1 / np.sqrt(2))
-        np.testing.assert_allclose(
-            out.path_a.amplitudes, -pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            out.path_b.amplitudes, pure_a.path_a.amplitudes / np.sqrt(2), atol=1e-12
-        )
+        np.testing.assert_allclose(out.path_a, -pure_a.path_a / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(out.path_b, pure_a.path_a / np.sqrt(2), atol=1e-12)
 
     def test_composition_is_rotation(self, pure_a):
         # two rotations compose: coefficient t t' - r r' (2x2 matrix product)
@@ -57,18 +46,15 @@ class TestMicrowavePulse:
         composed = spinor.microwave_pulse(spinor.microwave_pulse(pure_a, t1), t2)
         expected_t = t1 * t2 - r1 * r2
         expected_r = r1 * t2 + t1 * r2
-        np.testing.assert_allclose(
-            composed.path_a.amplitudes, expected_t * pure_a.path_a.amplitudes, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            composed.path_b.amplitudes, expected_r * pure_a.path_a.amplitudes, atol=1e-12
-        )
+        np.testing.assert_allclose(composed.path_a, expected_t * pure_a.path_a, atol=1e-12)
+        np.testing.assert_allclose(composed.path_b, expected_r * pure_a.path_a, atol=1e-12)
 
     def test_unitarity(self, pure_a, rng):
         state = pure_a
         for _ in range(5):
             state = spinor.microwave_pulse(state, rng.uniform(0, 1))
-        assert state.total_norm() == pytest.approx(1.0, abs=1e-10)
+        total = np.sum(np.abs(state.path_a) ** 2 + np.abs(state.path_b) ** 2) * state.grid.dp
+        assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_range_check(self, pure_a):
         with pytest.raises(ValueError):
@@ -78,23 +64,23 @@ class TestMicrowavePulse:
 class TestSternGerlach:
     def test_zero_kick_identity(self, pure_a):
         out = spinor.stern_gerlach(pure_a, 0.0, 0.0)
-        np.testing.assert_array_equal(out.path_a.amplitudes, pure_a.path_a.amplitudes)
+        np.testing.assert_array_equal(out.path_a, pure_a.path_a)
 
     def test_kick_moves_component(self, pure_a):
         out = spinor.stern_gerlach(pure_a, 0.3, 0.0)
-        assert wp.mean_momentum(out.path_a) == pytest.approx(0.3, abs=1e-9)
+        assert wp.first_moment(out.grid, out.path_a) == pytest.approx(0.3, abs=1e-9)
 
     def test_intermediate_state_matches_protocol(self, pure_a):
         # after pulse(t) and kick: t Phi(p - da) |A> + r Phi(p - db) |B>
         t, da, db = 0.85, 0.1, 0.3
         r = np.sqrt(1 - t * t)
         state = spinor.stern_gerlach(spinor.microwave_pulse(pure_a, t), da, db)
-        gauss = pure_a.path_a
+        grid, gauss = pure_a.grid, pure_a.path_a
         np.testing.assert_allclose(
-            state.path_a.amplitudes, t * wp.shift(gauss, da).amplitudes, atol=1e-12
+            state.path_a, t * wp.shift_amplitudes(grid, gauss, da), atol=1e-12
         )
         np.testing.assert_allclose(
-            state.path_b.amplitudes, r * wp.shift(gauss, db).amplitudes, atol=1e-12
+            state.path_b, r * wp.shift_amplitudes(grid, gauss, db), atol=1e-12
         )
 
 
