@@ -17,7 +17,9 @@ momenta and radians for phases.  A bs t outside [0, 1] or a source width
 that is not positive is a parse error at its token.  Duplicate keys are an
 error (silent override would hide experiment mistakes), and instructions
 must appear in pipeline order: one source first, then one bs, any
-kicks/phases, then recombine, select, report(s).
+kicks/phases, then recombine, select, report(s).  Every rule is written
+once, in the table _INSTRUCTIONS; what an instruction requires first is
+derived from its stages.
 """
 
 import math
@@ -32,18 +34,24 @@ from .errors import CircuitRuntimeError, ParameterError, QifError
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _TOKEN_RE = re.compile(r"\S+")
 
-REPORT_KINDS = ("moments", "wavefunction", "conservation")
-
-# key schema per instruction; None marks a bare-word argument (report kind)
-_SCHEMAS = {
-    "source": {"width": "positive", "mean": "number"},
-    "bs": {"t": "unit"},
-    "kick": {"path": "path", "delta": "number"},
-    "phase": {"path": "path", "alpha": "number"},
-    "recombine": {},
-    "select": {"port": "port"},
-    "report": None,
+# The grammar, one row per instruction in pipeline order: its stage (stages
+# must be non-decreasing), whether it may appear only once, and its keys.  A
+# key takes one of a tuple of words, or a number that must also pass the
+# check the run applies (None: any finite number), so a bad value is refused
+# at its token in the run's wording.  report's tuple lists the bare words it takes.
+_INSTRUCTIONS = {
+    "source": (0, True, {"width": lambda w: wp.GaussianParams(width=w), "mean": None}),
+    "bs": (1, True, {"t": mzi.BeamSplitterCoeffs}),
+    "kick": (2, False, {"path": ("A", "B"), "delta": None}),
+    "phase": (2, False, {"path": ("A", "B"), "alpha": None}),
+    "recombine": (3, True, {}),
+    "select": (4, True, {"port": ("C", "D")}),
+    "report": (5, False, ("moments", "wavefunction", "conservation")),
 }
+# what each instruction requires first: the latest once-only one of an earlier stage
+_NEEDS = {name: ([None] + [other for other, (s, once, _) in _INSTRUCTIONS.items()
+                           if once and s < stage])[-1]
+          for name, (stage, _, _) in _INSTRUCTIONS.items()}
 
 
 class ParseError(QifError):
@@ -55,12 +63,6 @@ class ParseError(QifError):
         self.line = line
         self.column = column
         self.token = token
-
-
-# range kinds: numbers that must also pass the check the run applies, so a
-# bad value is refused at its token, in the run's wording
-_RANGE_CHECKS = {"unit": mzi.BeamSplitterCoeffs,
-                 "positive": lambda width: wp.GaussianParams(width=width)}
 
 
 @dataclass(frozen=True)
@@ -75,46 +77,37 @@ class CircuitProgram:
     instructions: tuple
 
 
-def _parse_value(kind, key, raw, line_no, column):
-    if kind == "number" or kind in _RANGE_CHECKS:
-        if not _NUMBER_RE.match(raw):
-            raise ParseError(f"malformed number for {key}: {raw!r}", line_no, column, raw)
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ParseError(f"number out of range for {key}: {raw!r}", line_no, column, raw)
-        if kind in _RANGE_CHECKS:
-            try:
-                _RANGE_CHECKS[kind](value)
-            except ParameterError as exc:
-                raise ParseError(str(exc), line_no, column, raw) from None
-        return value
-    if kind == "path":
-        if raw not in ("A", "B"):
-            raise ParseError("path must be A or B", line_no, column, raw)
+def _parse_value(check, key, raw, line_no, column):
+    if isinstance(check, tuple):
+        if raw not in check:
+            raise ParseError(f"{key} must be {' or '.join(check)}", line_no, column, raw)
         return raw
-    if kind == "port":
-        if raw not in ("C", "D"):
-            raise ParseError("port must be C or D", line_no, column, raw)
-        return raw
-    raise AssertionError(kind)
+    if not _NUMBER_RE.match(raw):
+        raise ParseError(f"malformed number for {key}: {raw!r}", line_no, column, raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ParseError(f"number out of range for {key}: {raw!r}", line_no, column, raw)
+    if check is not None:
+        try:
+            check(value)
+        except ParameterError as exc:
+            raise ParseError(str(exc), line_no, column, raw) from None
+    return value
 
 
 def _parse_line(line, line_no):
     tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
     name, name_col = tokens[0]
-    if name not in _SCHEMAS:
+    if name not in _INSTRUCTIONS:
         raise ParseError(f"unknown instruction {name!r}", line_no, name_col, name)
-    schema = _SCHEMAS[name]
+    schema = _INSTRUCTIONS[name][2]
 
-    if schema is None:  # report: single bare kind token
+    if isinstance(schema, tuple):  # report: a single bare kind token
         if len(tokens) != 2:
             raise ParseError("report takes exactly one kind", line_no, name_col, name)
         kind, col = tokens[1]
-        if kind not in REPORT_KINDS:
-            raise ParseError(
-                f"report kind must be one of {', '.join(REPORT_KINDS)}",
-                line_no, col, kind,
-            )
+        if kind not in schema:
+            raise ParseError(f"report kind must be one of {', '.join(schema)}", line_no, col, kind)
         return Instruction(name, {"kind": kind}, line_no)
 
     args = {}
@@ -133,15 +126,6 @@ def _parse_line(line, line_no):
     return Instruction(name, args, line_no)
 
 
-# pipeline stage per instruction; stages must be non-decreasing
-_STAGE = {"source": 0, "bs": 1, "kick": 2, "phase": 2, "recombine": 3,
-          "select": 4, "report": 5}
-_ONCE = ("source", "bs", "recombine", "select")
-# the instruction each one needs earlier in the program
-_REQUIRES = {"kick": "bs", "phase": "bs", "recombine": "bs", "select": "recombine",
-             "report": "select"}
-
-
 def _validate(instructions):
     if not instructions or instructions[0].name != "source":
         line = instructions[0].line if instructions else 1
@@ -149,15 +133,15 @@ def _validate(instructions):
     seen = set()
     stage = 0
     for ins in instructions:
-        if ins.name in _ONCE:
+        s, once, _ = _INSTRUCTIONS[ins.name]
+        if once:
             if ins.name in seen:
                 raise ParseError(f"duplicate {ins.name}", ins.line)
             seen.add(ins.name)
-        s = _STAGE[ins.name]
         if s < stage:
             raise ParseError(f"{ins.name} out of order", ins.line)
-        stage = max(stage, s)
-        need = _REQUIRES.get(ins.name)
+        stage = s
+        need = _NEEDS[ins.name]
         if need is not None and need not in seen:
             raise ParseError(f"{ins.name} requires {need} first", ins.line)
 
@@ -182,7 +166,7 @@ def serialize(program: CircuitProgram) -> str:
             lines.append(f"report {ins.args['kind']}")
         else:
             parts = [ins.name]
-            for key in _SCHEMAS[ins.name]:
+            for key in _INSTRUCTIONS[ins.name][2]:
                 value = ins.args[key]
                 parts.append(f"{key}={value!r}" if isinstance(value, float)
                              else f"{key}={value}")
@@ -205,15 +189,13 @@ class ExecutionResult:
         return "\n".join(self.lines)
 
 
-def execute(program: CircuitProgram, grid: Optional[wp.GridSpec] = None) -> ExecutionResult:
-    """Run a parsed program on the given grid (default 4096-point grid).
+def execute(program: CircuitProgram, grid: wp.GridSpec) -> ExecutionResult:
+    """Run a parsed program on grid.
 
     Deterministic: identical program and grid give bit-identical results.
     Runtime failures (aliasing, dark-port moments, ports that break unitarity
     or conservation) are reported with the line number of the instruction.
     """
-    if grid is None:
-        grid = wp.default_grid()
     result = ExecutionResult()
     wf = None            # before bs
     state = None         # between bs and recombine

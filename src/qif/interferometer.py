@@ -117,9 +117,9 @@ def phase(state: TwoPathState, mode: str, alpha: float) -> TwoPathState:
     return replace(state, **{name: np.exp(1j * alpha) * getattr(state, name)})
 
 
-def select(state: TwoPathState, mode: str, port: str) -> PortOutcome:
-    """Post-select one mode; the outcome is labelled with port."""
-    return port_stats(state.grid, getattr(state, _mode_field(mode)), port)
+def select(state: TwoPathState, mode: str) -> PortOutcome:
+    """Post-select one mode; the outcome is labelled with mode."""
+    return port_stats(state.grid, getattr(state, _mode_field(mode)), mode)
 
 
 def apply_kick(state: TwoPathState, delta: float, alpha: float = 0.0) -> TwoPathState:

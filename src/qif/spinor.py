@@ -39,7 +39,7 @@ def stern_gerlach(state: TwoPathState, delta_a: float, delta_b: float) -> TwoPat
 
 
 def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
-                 grid=None, select: str = "A") -> PortOutcome:
+                 grid: wp.GridSpec, select: str = "A") -> PortOutcome:
     """Full pulse sequence starting from a Gaussian in |A>.
 
     pulse(t) -> kick(delta_a, delta_b) -> pi/2 pulse -> kick(-delta_a,
@@ -48,12 +48,10 @@ def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
     yields the port-D wavefunction rigidly translated by -(delta_b -
     delta_a) in momentum (same probability, shifted mean).
     """
-    if grid is None:
-        grid = wp.default_grid()
     empty = np.zeros(grid.n_points, dtype=complex)
     state = TwoPathState(grid, wp.gaussian_init(GaussianParams(), grid).amplitudes, empty)
     state = microwave_pulse(state, t_coeff)
     state = stern_gerlach(state, delta_a, delta_b)
     state = microwave_pulse(state, _SQRT1_2)
     state = stern_gerlach(state, -delta_a, -delta_b)
-    return mzi.select(state, select, select)
+    return mzi.select(state, select)

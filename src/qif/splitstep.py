@@ -76,8 +76,8 @@ def free_propagate(wf: PositionWavefunction, time: float,
     if time == 0.0:
         return wf
     grid = wf.grid
-    phi = grid.z_to_p(wf.amplitudes) * np.exp(-0.5j * grid.p * grid.p * time / config.mass)
-    return PositionWavefunction(grid, grid.p_to_z(phi))
+    kinetic = np.exp(-0.5j * grid.p * grid.p * time / config.mass)
+    return PositionWavefunction(grid, grid.momentum_phase(wf.amplitudes.copy(), kinetic))
 
 
 def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
@@ -118,12 +118,6 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     return out
 
 
-def shift_position_state(wf: PositionWavefunction, delta: float) -> PositionWavefunction:
-    """Exact momentum displacement of a position-space state (phase ramp)."""
-    wp.check_aliasing_guard(wf.grid, delta)
-    return PositionWavefunction(wf.grid, wf.amplitudes * wf.grid.kick_ramp(delta))
-
-
 def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
                   delta: float) -> float:
     """|<shift(before, delta) | after>| with both states normalized.
@@ -133,8 +127,9 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
     """
     if before.grid != after.grid:
         raise GridMismatchError("fidelity requires a shared grid")
-    target = shift_position_state(before, delta)
-    inner = np.sum(np.conj(target.amplitudes) * after.amplitudes) * before.grid.dz
+    wp.check_aliasing_guard(before.grid, delta)
+    target = before.amplitudes * before.grid.kick_ramp(delta)  # the exact shift, a phase ramp
+    inner = np.sum(np.conj(target) * after.amplitudes) * before.grid.dz
     return float(abs(inner) / np.sqrt(wp.norm(before) * wp.norm(after)))
 
 

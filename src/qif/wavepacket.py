@@ -119,7 +119,7 @@ class GridSpec:
 
 
 def default_grid(n_points: int = DEFAULT_N) -> GridSpec:
-    """Grid used throughout: supports kicks up to 2W with aliasing margin."""
+    """Grid on [-16, 16) W: the guard admits |delta| < 8 W, the wrap test says which kicks land."""
     return GridSpec(n_points=n_points, p_min=-DEFAULT_P_MAX, p_max=DEFAULT_P_MAX)
 
 
@@ -231,8 +231,9 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarra
     Realized as the phase ramp exp(i delta z) in position space, which is
     exact for band-limited content and works for arbitrary delta.  Guarded
     against wrap-around: |delta| must stay below a quarter of the grid span,
-    and no more than WRAP_TOLERANCE of the norm may be moved past an edge.
-    A shift by 0 returns amp itself.
+    and no more than WRAP_TOLERANCE of the norm may be moved past an edge
+    unless the state is dark (rounding noise below DARK_THRESHOLD).  A shift
+    by 0 returns amp itself.
     """
     check_aliasing_guard(grid, delta)
     if delta == 0.0:
@@ -241,7 +242,7 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarra
     lo, hi = np.searchsorted(grid.p + delta, (grid.p_min, grid.p_max))
     wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
     total = np.vdot(amp, amp).real
-    if wrapped > WRAP_TOLERANCE * total:
+    if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
         raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
                             "past the grid edge")
     return grid.z_to_p(grid.p_to_z(amp) * grid.kick_ramp(delta))

@@ -1,5 +1,6 @@
 """Circuit-description language: parsing, round trip, execution."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,50 @@ class TestParse:
             cf.parse(text)
         assert err.value.line == line
         assert fragment in err.value.message
+
+
+# The ordering rules written out as a table of their own: each instruction's
+# stage, the ones allowed once, and what each needs earlier in the program.
+STAGE = {"source": 0, "bs": 1, "kick": 2, "phase": 2, "recombine": 3, "select": 4, "report": 5}
+ONCE = ("source", "bs", "recombine", "select")
+REQUIRES = {"kick": "bs", "phase": "bs", "recombine": "bs", "select": "recombine",
+            "report": "select"}
+ONE_LINE = {"source": "source width=1 mean=0", "bs": "bs t=0.85", "kick": "kick path=B delta=0.2",
+            "phase": "phase path=A alpha=0.5", "recombine": "recombine",
+            "select": "select port=C", "report": "report moments"}
+
+
+def written_rules_error(names):
+    """(message, line) of the first rule the sequence breaks, or None."""
+    if not names or names[0] != "source":
+        return "missing source", 1
+    seen, stage = set(), 0
+    for line, name in enumerate(names, start=1):
+        if name in ONCE and name in seen:
+            return f"duplicate {name}", line
+        seen.add(name)
+        if STAGE[name] < stage:
+            return f"{name} out of order", line
+        stage = STAGE[name]
+        if name in REQUIRES and REQUIRES[name] not in seen:
+            return f"{name} requires {REQUIRES[name]} first", line
+    return None
+
+
+class TestOrderingRules:
+    def test_every_short_sequence_follows_the_written_rules(self):
+        # every sequence of up to 4 instructions: 2,801 programs
+        for n in range(5):
+            for names in itertools.product(STAGE, repeat=n):
+                text = "".join(ONE_LINE[name] + "\n" for name in names)
+                want = written_rules_error(names)
+                if want is None:
+                    program = cf.parse(text)
+                    assert [ins.name for ins in program.instructions] == list(names)
+                    continue
+                with pytest.raises(cf.ParseError) as err:
+                    cf.parse(text)
+                assert (err.value.message, err.value.line) == want, names
 
 
 class TestSerialize:
@@ -194,6 +239,16 @@ class TestExecute:
         with pytest.raises(CircuitRuntimeError) as err:
             cf.execute(cf.parse(text), grid)
         assert err.value.line == 3
+
+    def test_dark_port_moments(self, grid):
+        # a balanced splitter and no relative kick: port C holds rounding noise
+        text = ("source width=1 mean=0\nbs t=0.7071067811865476\nkick path=B delta=0\n"
+                "recombine\nselect port=C\nreport moments\n")
+        result = cf.execute(cf.parse(text), grid)
+        assert result.selected.is_dark
+        assert result.selected.probability < wp.DARK_THRESHOLD
+        assert result.lines == [f"port C: P = {result.selected.probability:.12g}, "
+                                "<p> undefined (dark port)"]
 
     def test_wavefunction_report(self):
         small = wp.default_grid(64)

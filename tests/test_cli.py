@@ -48,6 +48,14 @@ class TestSimulate:
         assert run(["simulate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_bare_value_is_a_parse_error_at_its_token(self, tmp_path, capsys):
+        path = tmp_path / "bad.qif"
+        path.write_text("source width=1 mean=0\nbs   0.5\n")
+        assert run(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}: line 2, column 6: expected key=value, got '0.5'\n"
+        assert captured.out == ""
+
     def test_grid_env_override(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "run.qif"
         path.write_text(CANONICAL)
@@ -166,6 +174,15 @@ class TestSweep:
                            extra=["--alpha", str(alpha), "--backend", backend])
         rows = (self._oracle_rows if backend == "oracle" else self._grid_rows)(t, delta, alpha)
         assert text.splitlines() == self._csv(rows)
+
+    @pytest.mark.parametrize("backend", ["oracle", "grid"])
+    def test_all_dark_sweep_has_no_minimum(self, tmp_path, capsys, backend):
+        # a balanced splitter and no kick: port C is dark in every cell
+        text = self._sweep(tmp_path, "dark.csv", ["--backend", backend],
+                           t=(0.7071067811865476, 0.7071067811865476, 2), delta=(0, 0, 2))
+        assert all(row.split(",")[4] == "nan" for row in text.splitlines()[1:])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "min mean_C = inf at t = nan, delta = nan"
 
     def test_percent_format_is_format(self):
         for x in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, np.finfo(float).max, 0.1):
@@ -472,6 +489,18 @@ class TestBec:
         mean = float(capsys.readouterr().out.split("<p> = ")[1].splitlines()[0])
         assert mean == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kick", ["0.3", "0.005"])
+    def test_dark_run_prints_the_dark_line(self, capsys, kick):
+        # A holds only rounding noise after the second pulse; its kick once
+        # raised a wrap error measured against that noise
+        assert run(["bec", "--t", "0.7071067811865476", "--delta-a", kick,
+                    "--delta-b", kick, "--check-mzi"]) == 0
+        captured = capsys.readouterr()
+        line = captured.out.splitlines()[1]
+        prob = float(line.removeprefix("select A: P = ").removesuffix(", <p> undefined (dark)"))
+        assert 0 <= prob < wp.DARK_THRESHOLD
+        assert captured.err == ""
+
 
 # inputs that once escaped main as a traceback, or were silently ignored or
 # wrapped; "{file}" stands for a circuit file holding the case's text
@@ -662,7 +691,8 @@ class TestFuzzSimulate:
         # run it again with a conservation report, selecting a port if it did not
         selects = any(ins.name == "select" for ins in program.instructions)
         checked = circuitfile.serialize(program) + ("" if selects else "select port=C\n")
-        result = circuitfile.execute(circuitfile.parse(checked + "report conservation\n"))
+        result = circuitfile.execute(circuitfile.parse(checked + "report conservation\n"),
+                                     wp.default_grid())
         assert abs(result.outcome_c.probability + result.outcome_d.probability - 1) <= 1e-9
         assert result.conservation_residual <= 1e-8
 

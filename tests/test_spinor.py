@@ -86,14 +86,14 @@ class TestSternGerlach:
 
 class TestSelect:
     def test_pure_state_selection(self, pure_a):
-        assert mzi.select(pure_a, "A", "A").probability == pytest.approx(1.0, abs=1e-10)
-        out_b = mzi.select(pure_a, "B", "B")
+        assert mzi.select(pure_a, "A").probability == pytest.approx(1.0, abs=1e-10)
+        out_b = mzi.select(pure_a, "B")
         assert out_b.probability == 0.0
         assert out_b.is_dark
 
     def test_bad_label(self, pure_a):
         with pytest.raises(ValueError):
-            mzi.select(pure_a, "C", "C")
+            mzi.select(pure_a, "C")
 
 
 class TestRunProtocol:
@@ -137,6 +137,14 @@ class TestRunProtocol:
         np.testing.assert_allclose(
             out_b.wavefunction.amplitudes, shifted_d.amplitudes, atol=1e-10
         )
+
+    @pytest.mark.parametrize("kick", [0.3, 0.005, -1.0])
+    def test_dark_mode_is_kicked_not_refused(self, grid, kick):
+        # balanced pulses and equal kicks: A is dark, and the wrap of its
+        # rounding noise is no refusal
+        out = spinor.run_protocol(0.7071067811865476, kick, kick, grid)
+        assert out.is_dark
+        assert out.probability < wp.DARK_THRESHOLD
 
     def test_protocol_unitary_before_selection(self, grid):
         out_a = spinor.run_protocol(0.7, 0.2, 0.5, grid, select="A")

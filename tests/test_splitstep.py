@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qif import analytic, splitstep as ss, wavepacket as wp
-from qif.errors import BoundaryLeakError, ParameterError
+from qif.errors import BoundaryLeakError, GridMismatchError, ParameterError
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams, PositionWavefunction
 
@@ -90,6 +90,12 @@ class TestApplyImpulse:
         out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
         assert abs(wp.norm(out) - wp.norm(psi0)) <= 1e-9
 
+    def test_zero_state_stays_zero(self, psi0):
+        # no norm, so no edge fraction to judge: the pulse runs and leaves zeros
+        zero = PositionWavefunction(psi0.grid, np.zeros(psi0.grid.n_points, dtype=complex))
+        out = ss.apply_impulse(zero, ImpulsePulse(force=1.0, duration=0.2, substeps=4))
+        assert not np.any(out.amplitudes)
+
     def test_non_finite_substep_refused(self, psi0):
         # dt / mass overflows, so every kinetic phase is nan: the check on the
         # result still catches it, though no substep builds a wavefunction
@@ -117,7 +123,7 @@ class TestApplyImpulse:
 
 class TestKickFidelity:
     def test_exact_shift_gives_one(self, psi0):
-        shifted = ss.shift_position_state(psi0, 0.7)
+        shifted = PositionWavefunction(psi0.grid, psi0.amplitudes * np.exp(0.7j * psi0.grid.z))
         assert ss.kick_fidelity(psi0, shifted, 0.7) == pytest.approx(1.0, abs=1e-10)
 
     def test_unshifted_gaussian_overlap(self, psi0):
@@ -125,6 +131,11 @@ class TestKickFidelity:
         fid = ss.kick_fidelity(psi0, psi0, 2.0)
         assert fid == pytest.approx(analytic.gaussian_overlap(2.0), abs=1e-10)
         assert fid == pytest.approx(np.exp(-1.0), abs=1e-10)
+
+    def test_grid_mismatch_refused(self, psi0):
+        coarse = wp.to_position(wp.gaussian_init(GaussianParams(), wp.default_grid(512)))
+        with pytest.raises(GridMismatchError, match="shared grid"):
+            ss.kick_fidelity(psi0, coarse, 0.2)
 
     def test_orthogonal_states(self, psi0):
         # odd parity vs even parity: exactly orthogonal

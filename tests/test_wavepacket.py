@@ -127,6 +127,14 @@ class TestShift:
             back = wp.shift(packet, -delta)
             assert wp.mean_momentum(back) == pytest.approx(mean - delta, abs=1e-9)
 
+    def test_dark_state_wrap_not_refused(self, grid):
+        # the wrap of a bright packet is refused; at a norm below DARK_THRESHOLD
+        # the amplitudes are noise, and the same shift goes through
+        packet = wp.gaussian_init(GaussianParams(mean=9.0), grid).amplitudes
+        with pytest.raises(AliasingError, match="grid edge"):
+            wp.shift_amplitudes(grid, 4e-8 * packet, 7.9)  # norm 1.6e-15
+        assert _norm(grid, wp.shift_amplitudes(grid, 3e-8 * packet, 7.9)) < wp.DARK_THRESHOLD
+
     def test_composition(self, gauss):
         once = wp.shift(wp.shift(gauss, 0.3), 0.4)
         direct = wp.shift(gauss, 0.7)
@@ -204,6 +212,12 @@ class TestFourierPair:
         amp[7] = np.nan
         with pytest.raises(ParameterError, match="non-finite amplitudes"):
             wp.PositionWavefunction(grid, amp)
+
+    @pytest.mark.parametrize("shape", [(4095,), (4097,), (2, 4096), ()])
+    def test_amplitudes_must_match_the_grid(self, grid, shape):
+        for kind in (MomentumWavefunction, wp.PositionWavefunction):
+            with pytest.raises(ParameterError, match="amplitude array does not match grid"):
+                kind(grid, np.ones(shape, dtype=complex))
 
     def test_parseval(self, gauss):
         psi = wp.to_position(gauss)
