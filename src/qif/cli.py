@@ -106,6 +106,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.samples < 0:
         raise ParameterError(f"--samples must be non-negative, got {args.samples}")
+    if args.samples > np.iinfo(np.intp).max // 24:  # numpy cannot address (samples, 3) floats
+        raise ParameterError(f"--samples={args.samples} is too large for a numpy array")
     if args.seed < 0:
         raise ParameterError(f"--seed must be non-negative, got {args.seed}")
     if args.samples == 0:
@@ -180,8 +182,9 @@ def cmd_bec(args) -> int:
     if args.check_mzi:
         gauss = wp.gaussian_init(wp.GaussianParams(), grid)
         out_c, _ = mzi.run_mzi(gauss, args.t, delta)
-        diff = np.max(np.abs(outcome.wavefunction.amplitudes * np.sqrt(outcome.probability)
-                             - out_c.wavefunction.amplitudes * np.sqrt(out_c.probability)))
+        raw = [o.wavefunction.amplitudes * (1.0 if o.is_dark else np.sqrt(o.probability))
+               for o in (outcome, out_c)]  # a dark outcome already holds the raw amplitudes
+        diff = np.max(np.abs(raw[0] - raw[1]))
         print(f"max nodewise |protocol - interferometer port C| = {diff:.3e}")
     return EXIT_OK
 

@@ -47,6 +47,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise ParameterError(f"n_points must be a power of two >= 2, got {self.n_points}")
+        if self.n_points > np.iinfo(np.intp).max // 16:  # numpy cannot address the array
+            raise ParameterError(f"n_points={self.n_points} is too large for a complex array")
         if not self.p_max > self.p_min:
             raise ParameterError(f"need p_max > p_min, got [{self.p_min}, {self.p_max}]")
 
@@ -76,7 +78,19 @@ class GridSpec:
 
     @cached_property
     def _p_ramp(self) -> np.ndarray:
-        return np.exp(-1j * self.p_min * self.z)
+        return self._exp_ramp(-1j * self.p_min)
+
+    def _exp_ramp(self, coeff: complex) -> np.ndarray:
+        """np.exp(coeff * z) bit for bit, exp taken on n/2 + 1 nodes: z_(n-j) = -z_j exactly
+        and libm's sin is odd, cos even, so ramp[j] = conj(ramp[n-j]) for 0 < j < n/2."""
+        if coeff.imag * self.dz == 0:  # the ramp is 1+0j, and conj would give 1-0j
+            return np.exp(coeff * self.z)
+        h = self.n_points // 2
+        ramp = np.empty(self.n_points, dtype=complex)
+        np.exp(coeff * self.z[h:], out=ramp[h:])
+        np.conjugate(ramp[:h:-1], out=ramp[1:h])
+        np.exp(coeff * self.z[:1], out=ramp[:1])
+        return ramp
 
     @cached_property
     def _p_scale(self) -> float:
@@ -98,7 +112,7 @@ class GridSpec:
         key = delta, np.copysign(1.0, delta)  # the ramp of -0.0 has other signed zeros
         last = self.__dict__.get("_kick_ramp", (None, None))
         if last[0] != key:
-            last = self.__dict__["_kick_ramp"] = key, np.exp(1j * delta * self.z)
+            last = self.__dict__["_kick_ramp"] = key, self._exp_ramp(1j * delta)
             last[1].setflags(write=False)
         return last[1]
 

@@ -501,6 +501,25 @@ class TestBec:
         assert 0 <= prob < wp.DARK_THRESHOLD
         assert captured.err == ""
 
+    def test_dark_check_mzi_compares_raw_amplitudes(self, capsys):
+        """A dark outcome holds the raw amplitudes: they are not scaled by sqrt(P) again."""
+        t, kick = 0.7071067811865476, 0.3
+        assert run(["bec", "--t", repr(t), "--delta-a", str(kick), "--delta-b", str(kick),
+                    "--check-mzi"]) == 0
+        printed = capsys.readouterr().out.split("port C| = ")[1].strip()
+        grid = wp.default_grid()
+        gauss = wp.gaussian_init(wp.GaussianParams(), grid)
+        state = mzi.TwoPathState(grid, gauss.amplitudes, np.zeros(grid.n_points, complex))
+        state = spinor.microwave_pulse(state, t)
+        state = spinor.stern_gerlach(state, kick, kick)
+        state = spinor.microwave_pulse(state, 1.0 / np.sqrt(2.0))
+        protocol_a = spinor.stern_gerlach(state, -kick, -kick).path_a
+        raw_c, _ = mzi.recombine(mzi.apply_kick(
+            mzi.split(gauss, mzi.BeamSplitterCoeffs(t)), 0.0))
+        diff = np.max(np.abs(protocol_a - raw_c))
+        assert diff > 1e-17  # scaled by sqrt(P) ~ 2e-16 it read 3.676e-32
+        assert printed == f"{diff:.3e}"
+
 
 # inputs that once escaped main as a traceback, or were silently ignored or
 # wrapped; "{file}" stands for a circuit file holding the case's text
@@ -600,6 +619,25 @@ REFUSED = [
     ("grid_sweep_past_memory", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
       "--grid-n", str(2 ** 50), "--out", "{file}"], {}, "error: Unable to allocate"),
+    # sizes whose complex (or sample) arrays numpy cannot address at all: once a
+    # ValueError traceback, exit 1; at 2^63 a false "amplitude array does not match grid"
+    ("propagate_grid_past_address", None, ["propagate", "--grid-n", str(2 ** 62)], {},
+     "n_points=4611686018427387904 is too large for a complex array"),
+    ("bec_grid_past_address", None,
+     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 62)], {},
+     "n_points=4611686018427387904 is too large"),
+    ("grid_env_past_address", CANONICAL,
+     ["simulate", "{file}"], {"QIF_GRID_N": str(2 ** 62)}, "n_points=4611686018427387904"),
+    ("grid_sweep_past_address", None,
+     ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
+      "--grid-n", str(2 ** 62), "--out", "{file}"], {}, "n_points=4611686018427387904"),
+    ("propagate_grid_2_to_63", None, ["propagate", "--grid-n", str(2 ** 63)], {},
+     "n_points=9223372036854775808 is too large for a complex array"),
+    ("simulate_grid_2_to_64", CANONICAL, ["simulate", "{file}", "--grid-n", str(2 ** 64)], {},
+     "n_points=18446744073709551616 is too large for a complex array"),
+    ("oracle_check_samples_past_address", None,
+     ["oracle-check", "--samples", str(2 ** 62), "--seed", "1"], {},
+     "--samples=4611686018427387904 is too large for a numpy array"),
     # finite bounds whose difference overflows; argparse reads "-1e308" as an option
     ("sweep_delta_span_overflows", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "-1" + "0" * 308, "1e308", "3",

@@ -125,3 +125,40 @@ def test_phase_factors_built_lazily_once():
     first = [vars(grid)[name] for name in cached]
     wp.shift(gauss, 0.2)
     assert all(vars(grid)[name] is array for name, array in zip(cached, first))
+
+
+#: p_min < 0 (centred and off-centre), p_min = 0 and p_min > 0
+RAMP_WINDOWS = [(-16.0, 16.0), (-11.3, 12.9), (0.0, 8.0), (2.5, 7.0)]
+
+
+@pytest.mark.parametrize("window", RAMP_WINDOWS, ids=["centred", "off_centre", "from_0", "past_0"])
+@pytest.mark.parametrize("n", [2 ** m for m in range(1, 18)])
+def test_ramps_are_the_plain_exp(n, window):
+    """The half-grid ramps, pinned against np.exp on every node.
+
+    A signed zero, a kick whose product with dz underflows (5e-324) and
+    one that does not (1e-310) must all round like np.exp.
+    """
+    grid = GridSpec(n, *window)
+    assert_same_bytes(grid._p_ramp, np.exp(-1j * grid.p_min * grid.z))
+    assert_same_bytes(grid._z_factor, grid.dp / np.sqrt(2.0 * np.pi)
+                      * np.conj(np.exp(-1j * grid.p_min * grid.z)))
+    guard = (grid.p_max - grid.p_min) / 4
+    edge = np.nextafter(guard, 0.0)
+    for delta in (0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.2, -1.3, edge, -edge):
+        assert_same_bytes(grid.kick_ramp(delta), np.exp(1j * delta * grid.z))
+
+
+def test_first_shift_evaluates_exp_on_half_the_grid(monkeypatch):
+    """A structural guard: the p ramp and the kick ramp each take exp on n/2 + 1 nodes."""
+    grid = wp.default_grid(256)
+    gauss = wp.gaussian_init(GaussianParams(), grid)
+    evaluated, exp = [], np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    wp.shift(gauss, 0.1)
+    assert 0 < sum(evaluated) <= grid.n_points + 2  # 2n with exp on every node
