@@ -27,10 +27,103 @@ EXIT_PARSE = 2
 EXIT_RUNTIME = 3
 
 CSV_HEADER = "t,delta,alpha,p_c,mean_c,p_d,mean_d,residual"
-#: The CSV row after its t, delta and alpha heads; "%.17g" is format(x, ".17g").
-CSV_CELLS = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+#: Most values write_sweep_csv passes to format_17g at once: it bounds the writer's buffers.
+CSV_CHUNK = 4096
 #: Largest t x delta surface a sweep computes (about 1 GB of surface arrays).
 MAX_SWEEP_CELLS = 10 ** 7
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _layout(k, z):
+    """Indices into a row [d0, ".", "0", NUL, d1 .. d16] that spell, as %.17g does,
+    17 digits of decimal exponent k that end in z zeros, NUL-padded to 23."""
+    digits = [0, *range(4, 20)]
+    head, frac = (digits[:k + 1], digits[k + 1:]) if k >= 0 else ([2], [2] * (-k - 1) + digits)
+    frac = frac[:len(frac) - z] if z < len(frac) else []
+    return (head + [1] * bool(frac) + frac + [3] * 23)[:23]
+
+
+_LAYOUT = np.array([_layout(k, z) for k in range(-4, 16) for z in range(17)], np.intp)
+_P10 = 10.0 ** np.arange(23)  # each an exact double
+_P10_HI, _P10_LO = _split(_P10)
+_PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
+_PAIR_ZEROS = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)])
+
+
+def format_17g(x):
+    """Each float64 of x as ("%.17g" % value).encode(), in a NUL-padded (len(x), 24) uint8 row.
+
+    A finite |x| in [1e-4, 1e16) is formatted here: x 10^(16 - k) is formed exactly as
+    hi + lo (Dekker's product; 10^s is exact for s <= 22) and rounded half to even to
+    17 digits.  Any other value is formatted by Python's %, once per distinct bit pattern.
+    """
+    n = len(x)
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e16)
+    a = np.where(exact, a, 1.0)
+    a_hi, a_lo = _split(a)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    for _ in range(2):  # k is right when hi + lo rounds into [1e16, 1e17); log10 may miss by 1
+        s = 16 - k
+        hi = a * _P10[s]
+        lo = ((a_hi * _P10_HI[s] - hi) + a_hi * _P10_LO[s] + a_lo * _P10_HI[s]) + a_lo * _P10_LO[s]
+        k += (hi > 1e17) | ((hi == 1e17) & (lo >= -0.5))
+        k -= (hi < 1e16) | ((hi == 1e16) & (lo < -0.5))
+    # hi >= 1e16 > 2^53 is even, so lo rounded half to even rounds hi + lo so too
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    src = np.empty((n, 20), np.uint8)
+    src[:, 1:4] = (ord("."), ord("0"), 0)
+    pairs = src[:, 4:].view(np.uint16)
+    zeros, trailing = np.zeros(n, np.intp), np.ones(n, bool)
+    for i in range(7, -1, -1):
+        q = d // 100
+        d, r = q, d - 100 * q  # faster than d % 100
+        pairs[:, i] = _PAIRS[r]
+        zeros += trailing * _PAIR_ZEROS[r]
+        trailing &= r == 0
+    src[:, 0] = d + ord("0")
+    out = np.empty((n, 24), np.uint8)
+    out[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells = _LAYOUT[17 * (k + 4) + zeros]
+    cells += 20 * np.arange(n)[:, None]  # in place: the largest buffer of a chunk
+    out[:, 1:] = src.ravel().take(cells)
+    rest = np.flatnonzero(~exact)
+    if rest.size:  # sorted by bit pattern, each run formatted once
+        bits = x[rest].view(np.int64)
+        order = np.argsort(bits)
+        first = np.concatenate(([True], np.diff(bits[order]) != 0))  # a wrapped diff is not 0
+        text = b"".join([("%.17g" % v).encode().ljust(24, b"\0")
+                         for v in x[rest[order[first]]].tolist()])
+        out[rest[order]] = np.frombuffer(text, np.uint8).reshape(-1, 24)[np.cumsum(first) - 1]
+    return out
+
+
+def write_sweep_csv(fh, ts, deltas, alpha, columns):
+    """Write the header and a row per (t, delta) cell, t-major, to the binary file fh;
+    columns are the len(ts) x len(deltas) surfaces after the t, delta and alpha fields."""
+    fh.write((CSV_HEADER + "\n").encode())
+    heads = [np.concatenate([format_17g(v[i:i + CSV_CHUNK]) for i in range(0, len(v), CSV_CHUNK)])
+             for v in (ts, deltas, np.array([alpha]))]
+    flats = [np.ravel(column) for column in columns]
+    size, step = len(ts) * len(deltas), CSV_CHUNK // len(flats)
+    for start in range(0, size, step):
+        cell = np.arange(start, min(start + step, size))
+        rows = np.empty((cell.size, 3 + len(flats), 25), np.uint8)
+        rows[:, :, 24] = ord(",")
+        rows[:, -1, 24] = ord("\n")
+        rows[:, 0, :24] = heads[0][cell // len(deltas)]
+        rows[:, 1, :24] = heads[1][cell % len(deltas)]
+        rows[:, 2, :24] = heads[2]
+        values = np.stack([flat[start:start + cell.size] for flat in flats], axis=1)
+        rows[:, 3:, :24] = format_17g(values.ravel()).reshape(cell.size, -1, 24)
+        flat = rows.ravel()
+        fh.write(flat[flat != 0])
 
 
 def _grid(args) -> wp.GridSpec:
@@ -84,14 +177,8 @@ def cmd_sweep(args) -> int:
         stats = mzi.stats_grid(wp.gaussian_init(wp.GaussianParams(), grid), tt, dd, args.alpha)
         tolerance = mzi.CONSERVATION_TOLERANCE
     residual = mzi.check_ports(*stats, tt, dd, tolerance=tolerance)
-    # streamed one t row at a time; each delta, alpha pair is formatted once
-    heads = ["%.17g,%.17g," % (d, args.alpha) for d in dd[0].tolist()]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i, t in enumerate(ts.tolist()):
-            t_head = "%.17g," % t
-            rows = zip(heads, zip(*(column[i].tolist() for column in (*stats, residual))))
-            fh.write("".join([t_head + head + CSV_CELLS % cell for head, cell in rows]))
+    with open(args.out, "wb") as fh:
+        write_sweep_csv(fh, ts, dd[0], args.alpha, (*stats, residual))
     # the first minimum in t-major order; a dark cell's nan never wins
     m_c = stats.mean_c
     i = np.argmin(np.where(np.isnan(m_c), np.inf, m_c))
@@ -129,8 +216,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    pulse = splitstep.ImpulsePulse(args.force, args.tau, args.substeps)  # before any array
     grid = _grid(args)
-    pulse = splitstep.ImpulsePulse(args.force, args.tau, args.substeps)
     config = splitstep.PropagationConfig(mass=args.mass)
     before = wp.to_position(wp.gaussian_init(wp.GaussianParams(), grid))
     after = splitstep.apply_impulse(before, pulse, config)

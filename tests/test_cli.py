@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import program_gen
-from qif import analytic, circuitfile, cli, interferometer as mzi, spinor, wavepacket as wp
+from qif import analytic, circuitfile, cli, interferometer as mzi, spinor, splitstep
+from qif import wavepacket as wp
 from qif.errors import QifError
 
 CANONICAL = """\
@@ -426,6 +428,17 @@ class TestPropagate:
         assert fid < 0.999
         assert shift == pytest.approx(0.2, abs=1e-9)
 
+    @pytest.mark.parametrize("substeps", [10 ** 18, 2 ** 63])
+    def test_substeps_past_the_bound_refused_at_once(self, capsys, substeps):
+        start = time.perf_counter()
+        assert run(["propagate", "--substeps", str(substeps)]) == 3
+        assert time.perf_counter() - start < 1.0
+
+    def test_substeps_bound_is_inclusive(self):
+        assert splitstep.ImpulsePulse(1.0, 0.2, splitstep.MAX_SUBSTEPS).substeps == 10 ** 6
+        with pytest.raises(QifError, match="got 1000001"):
+            splitstep.ImpulsePulse(1.0, 0.2, splitstep.MAX_SUBSTEPS + 1)
+
 
 class TestFeasibility:
     def test_defaults(self, capsys):
@@ -531,6 +544,11 @@ REFUSED = [
     ("bec_t_out_of_range", None,
      ["bec", "--t", "2", "--delta-a", "0", "--delta-b", "0.2"], {}, "transmission"),
     ("zero_substeps", None, ["propagate", "--substeps", "0"], {}, "substeps"),
+    # once a loop of centuries: only substeps < 1 was refused
+    ("propagate_substeps_1e18", None, ["propagate", "--substeps", str(10 ** 18)], {},
+     "substeps must be in [1, 1000000], got 1000000000000000000"),
+    ("propagate_substeps_2_to_63", None, ["propagate", "--substeps", str(2 ** 63)], {},
+     "substeps must be in [1, 1000000], got 9223372036854775808"),
     ("zero_mass", None, ["propagate", "--mass", "0"], {}, "mass"),
     ("negative_samples", None,
      ["oracle-check", "--samples", "-1", "--seed", "1"], {}, "samples"),
