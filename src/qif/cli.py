@@ -40,68 +40,102 @@ def _split(a):
     return hi, a - hi
 
 
-def _layout(k, z):
-    """Indices into a row [d0, ".", "0", NUL, d1 .. d16] that spell, as %.17g does,
-    17 digits of decimal exponent k that end in z zeros, NUL-padded to 23."""
-    digits = [0, *range(4, 20)]
-    head, frac = (digits[:k + 1], digits[k + 1:]) if k >= 0 else ([2], [2] * (-k - 1) + digits)
-    frac = frac[:len(frac) - z] if z < len(frac) else []
-    return (head + [1] * bool(frac) + frac + [3] * 23)[:23]
-
-
-_LAYOUT = np.array([_layout(k, z) for k in range(-4, 16) for z in range(17)], np.intp)
 _P10 = 10.0 ** np.arange(23)  # each an exact double
 _P10_HI, _P10_LO = _split(_P10)
-_PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
-_PAIR_ZEROS = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)])
+
+
+def _times_p10(a, s):
+    """a 10^s near [1e16, 1e17), rounded half to even to an integer: it is formed exactly
+    as hi + lo (Dekker's product; 10^s is exact for s <= 22), and hi >= 1e16 > 2^53 is
+    even, so lo rounded half to even rounds hi + lo so too."""
+    a_hi, a_lo = _split(a)
+    hi = a * _P10[s]
+    lo = ((a_hi * _P10_HI[s] - hi) + a_hi * _P10_LO[s] + a_lo * _P10_HI[s]) + a_lo * _P10_LO[s]
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digit_words(v):
+    """The 8 decimal digits of each uint64 v < 10^8 as bytes, most significant first in
+    memory: 4-digit halves in 32-bit lanes, 2-digit quarters in 16-bit lanes, then bytes.
+    With q = v // b in each lane, (v << w) - q (b 2^w - 1) puts q in the low half and
+    v - b q in the high one, and no lane carries into the next."""
+    q = (v * 109951163) >> 40  # v // 10^4 for v < 10^8
+    v = (v << 32) - q * ((10000 << 32) - 1)
+    q = (v * 5243) >> 19 & 0x7F0000007F  # v // 100 in each lane < 10^4
+    v = (v << 16) - q * ((100 << 16) - 1)
+    q = (v * 103) >> 10 & 0xF000F000F000F  # v // 10 in each lane < 100
+    return (v << 8) - q * ((10 << 8) - 1)
+
+
+def _words(texts):
+    """Each text NUL-padded to 24 bytes, as (3, len(texts)) little-endian row words."""
+    return np.frombuffer(b"".join([t.ljust(24, b"\0") for t in texts]), "<u8").reshape(-1, 3).T
+
+
+#: Word tables are (3, rows).  _END[:, e] keeps the first e bytes of a row.  For each
+#: decimal exponent k in [-4, 15], %.17g puts _POINT after the first _HEAD bytes of a
+#: row [sign, d0 .. d16] and moves the later digits up by its width.
+_END = _words([b"\xff" * e for e in range(25)])
+_POINT = [b"." if k >= 0 else b"0." + b"0" * (-k - 1) for k in range(-4, 16)]
+_HEAD = [k + 2 if k >= 0 else 1 for k in range(-4, 16)]
+_KEEP, _INSERT = _END[:, _HEAD], _words([b"\0" * h + p for h, p in zip(_HEAD, _POINT)])
+_WIDTH = np.array([len(p) for p in _POINT])
+_SHIFT = 8 * _WIDTH.astype(np.uint64)
+
+
+def _exact_words(x):
+    """format_17g's rows of x, each |x| in [1e-4, 1e16), as (3, len(x)) row words."""
+    a = np.abs(x)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    d = _times_p10(a, 16 - k)
+    redo = np.flatnonzero((d >= 10 ** 17) | (d < 10 ** 16))  # where log10 missed by one
+    if redo.size:
+        k[redo] += np.where(d[redo] < 10 ** 16, -1, 1)
+        d[redo] = _times_p10(a[redo], 16 - k[redo])
+    d = d.view(np.uint64)
+    q = d // 10 ** 8
+    lead = q // 10 ** 8
+    digits = _digit_words(np.stack([q - lead * 10 ** 8, d - q * 10 ** 8]))
+    # digits up to the highest nonzero byte; no byte exceeds 9, so the float of the 16
+    # bytes after the lead digit rounds within its top byte (+ 0.5: 0 has no bytes)
+    size = 1 + (np.frexp(digits[1] * 2.0 ** 64 + digits[0] + 0.5)[1] + 7) // 8
+    upper, lower = digits | 0x3030303030303030
+    row = np.empty((3, len(x)), np.uint64)
+    row[0] = (x.view(np.uint64) >> 63) * ord("-") | (lead | 0x30) << 8 | upper << 16
+    row[1] = upper >> 48 | lower << 16
+    row[2] = lower >> 48
+    # move the digits after the first _HEAD bytes up by the width of the point text
+    i = k + 4
+    kept = row & _KEEP.take(i, 1)
+    row ^= kept
+    shift = _SHIFT[i]
+    row[1:] = row[1:] << shift | row[:2] >> (64 - shift)
+    row[0] <<= shift
+    row |= kept | _INSERT.take(i, 1)
+    # drop trailing zeros after the point, and the point when no fraction digit is left
+    row &= _END.take(np.where(size > k + 1, size + 1 + _WIDTH[i], k + 2), 1)
+    return row
 
 
 def format_17g(x):
     """Each float64 of x as ("%.17g" % value).encode(), in a NUL-padded (len(x), 24) uint8 row.
 
-    A finite |x| in [1e-4, 1e16) is formatted here: x 10^(16 - k) is formed exactly as
-    hi + lo (Dekker's product; 10^s is exact for s <= 22) and rounded half to even to
-    17 digits.  Any other value is formatted by Python's %, once per distinct bit pattern.
+    A finite |x| in [1e-4, 1e16) is rounded exactly to 17 digits, which are written and
+    laid out on 64-bit words.  Any other value is formatted by Python's %, once per
+    distinct bit pattern.
     """
-    n = len(x)
     a = np.abs(x)
     exact = (a >= 1e-4) & (a < 1e16)
-    a = np.where(exact, a, 1.0)
-    a_hi, a_lo = _split(a)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    for _ in range(2):  # k is right when hi + lo rounds into [1e16, 1e17); log10 may miss by 1
-        s = 16 - k
-        hi = a * _P10[s]
-        lo = ((a_hi * _P10_HI[s] - hi) + a_hi * _P10_LO[s] + a_lo * _P10_HI[s]) + a_lo * _P10_LO[s]
-        k += (hi > 1e17) | ((hi == 1e17) & (lo >= -0.5))
-        k -= (hi < 1e16) | ((hi == 1e16) & (lo < -0.5))
-    # hi >= 1e16 > 2^53 is even, so lo rounded half to even rounds hi + lo so too
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    src = np.empty((n, 20), np.uint8)
-    src[:, 1:4] = (ord("."), ord("0"), 0)
-    pairs = src[:, 4:].view(np.uint16)
-    zeros, trailing = np.zeros(n, np.intp), np.ones(n, bool)
-    for i in range(7, -1, -1):
-        q = d // 100
-        d, r = q, d - 100 * q  # faster than d % 100
-        pairs[:, i] = _PAIRS[r]
-        zeros += trailing * _PAIR_ZEROS[r]
-        trailing &= r == 0
-    src[:, 0] = d + ord("0")
-    out = np.empty((n, 24), np.uint8)
-    out[:, 0] = np.where(x < 0, ord("-"), 0)
-    cells = _LAYOUT[17 * (k + 4) + zeros]
-    cells += 20 * np.arange(n)[:, None]  # in place: the largest buffer of a chunk
-    out[:, 1:] = src.ravel().take(cells)
-    rest = np.flatnonzero(~exact)
+    inside, rest = np.flatnonzero(exact), np.flatnonzero(~exact)
+    out = np.empty((len(x), 3), "<u8")
+    out[inside] = _exact_words(x[inside]).T  # the exact path sees only what it formats
     if rest.size:  # sorted by bit pattern, each run formatted once
         bits = x[rest].view(np.int64)
-        order = np.argsort(bits)
+        order = np.argsort(bits, kind="stable")
         first = np.concatenate(([True], np.diff(bits[order]) != 0))  # a wrapped diff is not 0
-        text = b"".join([("%.17g" % v).encode().ljust(24, b"\0")
-                         for v in x[rest[order[first]]].tolist()])
-        out[rest[order]] = np.frombuffer(text, np.uint8).reshape(-1, 24)[np.cumsum(first) - 1]
-    return out
+        texts = [("%.17g" % v).encode() for v in x[rest[order[first]]].tolist()]
+        out[rest[order]] = _words(texts).T[np.cumsum(first) - 1]
+    return out.view(np.uint8)
 
 
 def write_sweep_csv(fh, ts, deltas, alpha, columns):
@@ -122,8 +156,7 @@ def write_sweep_csv(fh, ts, deltas, alpha, columns):
         rows[:, 2, :24] = heads[2]
         values = np.stack([flat[start:start + cell.size] for flat in flats], axis=1)
         rows[:, 3:, :24] = format_17g(values.ravel()).reshape(cell.size, -1, 24)
-        flat = rows.ravel()
-        fh.write(flat[flat != 0])
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _grid(args) -> wp.GridSpec:

@@ -137,8 +137,15 @@ def recombine(state: TwoPathState):
     and the + counterpart at port D.  Pointwise unitary, so the two port
     norms add up to the total input norm.
     """
-    a, b = state.path_a, state.path_b
-    return (a + 1j * b) / _SQRT2, (a - 1j * b) / _SQRT2
+    a, ib = state.path_a, 1j * state.path_b
+    return _divide(a + ib, _SQRT2), _divide(a - ib, _SQRT2)
+
+
+def _divide(z, s):
+    """Complex z / real s bit for bit, by a multiply where that agrees: numpy divides as
+    (re + im 0, im - re 0) (1/s), which z (1/s) misses only in the sign of a zero."""
+    out = z * (1.0 / s)
+    return out if out.view(np.float64).all() else z / s
 
 
 def port_stats(grid: wp.GridSpec, raw: np.ndarray, port: str) -> PortOutcome:
@@ -152,7 +159,7 @@ def port_moments(grid: wp.GridSpec, raw: np.ndarray):
     prob = float(np.sum(np.abs(raw) ** 2) * grid.dp)  # norm, as wavepacket.norm sums it
     if prob < DARK_THRESHOLD:
         return prob, np.nan, raw
-    normalized = raw / np.sqrt(prob)
+    normalized = _divide(raw, np.sqrt(prob))
     return prob, wp.first_moment(grid, normalized), normalized
 
 

@@ -70,7 +70,7 @@ class GridSpec:
 
     @cached_property
     def _signs(self) -> np.ndarray:  # exp(-i pi k)
-        return np.tile((1.0, -1.0), self.n_points // 2)
+        return np.tile((1 + 0j, -1 + 0j), self.n_points // 2)
 
     @cached_property
     def _z_factor(self) -> np.ndarray:  # conj(exp(-i x)) is exp(i x) bit for bit

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qif import interferometer as mzi
+from qif import circuitfile, interferometer as mzi
 from qif import wavepacket as wp
 from qif.errors import ParameterError, QifError
 from qif.interferometer import BeamSplitterCoeffs
@@ -257,3 +257,49 @@ class TestPipelineProperties:
     def test_anomalous_region_exists(self, gauss):
         out_c, out_d = mzi.run_mzi(gauss, 0.85, 0.2)
         assert out_c.mean_p < 0 < out_d.mean_p
+
+
+def _divide_cases(rng):
+    """Complex arrays with random parts, zeros of either sign, subnormals and huge parts."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.2250738585072014e-308,
+                        1e300, -1.5e307, 1.5, -0.75])
+    re, im = np.meshgrid(special, special)
+    random = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    return {"random": random,
+            "subnormal_and_huge": random * 10.0 ** rng.choice([-310, -300, 300, 306], 4096),
+            "signed_zeros_and_specials": (re + 1j * im).ravel(),
+            "zero_real_parts": -0.0 + 1j * random.imag,
+            "zero_imaginary_parts": random.real - 0j}
+
+
+class TestDivide:
+    """mzi._divide against numpy's complex / real, byte for byte."""
+
+    @pytest.mark.parametrize("s", [np.sqrt(2.0), np.sqrt(0.2927)], ids=["sqrt2", "sqrt_p"])
+    def test_divide_is_division_bit_for_bit(self, rng, s):
+        for name, z in _divide_cases(rng).items():
+            assert mzi._divide(z, s).tobytes() == (z / s).tobytes(), name
+
+    def test_multiply_takes_over_where_no_part_is_zero(self, rng):
+        z = _divide_cases(rng)["subnormal_and_huge"]
+        assert (z * (1 / np.sqrt(2.0))).view(np.float64).all()
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_zero_tails_match_plain_division(self, monkeypatch, t):
+        """A narrow source underflows to exact zeros; the ports keep the signs of / ."""
+        grid = wp.default_grid()
+        narrow = wp.gaussian_init(GaussianParams(width=0.05), grid)
+        assert np.any(narrow.amplitudes == 0)
+        text = (f"source width=0.05 mean=0\nbs t={t}\nkick path=B delta=0.2\n"
+                "recombine\nselect port=C\nreport moments\nreport wavefunction\n")
+
+        def run():
+            ports = mzi.run_mzi(narrow, t, 0.2, 0.3)
+            stats = mzi.stats_grid(narrow, np.array([t, t]), np.array([0.2, 1.1]))
+            report = circuitfile.execute(circuitfile.parse(text), grid).report
+            return ([o.wavefunction.amplitudes.tobytes() for o in ports]
+                    + [np.array(stats).tobytes(), report])
+
+        fast = run()
+        monkeypatch.setattr(mzi, "_divide", lambda z, s: z / s)
+        assert fast == run()

@@ -1,6 +1,8 @@
 """The sweep CSV writer: format_17g against Python's "%.17g", and whole files
 against the per-cell writer it replaced."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,68 @@ def test_format_17g_is_percent_format(values):
 @settings(max_examples=500, deadline=None)
 def test_format_17g_is_percent_format_on_any_floats(values):
     assert formatted(values) == percent(values)
+
+
+def _digits(text):
+    """The decimal exponent and the significant-digit count of a %.17g text."""
+    value = Decimal(text)
+    return value.adjusted(), len(value.normalize().as_tuple().digits)
+
+
+def _layout_values():
+    """For each decimal exponent k in [-4, 15] and digit count n in 1..17, the first
+    decimal string m e(k - n + 1), m an n-digit integer, whose %.17g has k and n."""
+    values = {}
+    for k in range(-4, 16):
+        for n in range(1, 18):
+            for j in range(1000):
+                v = float(f"{10 ** (n - 1) + j * 7919 % (9 * 10 ** (n - 1))}e{k - n + 1}")
+                if _digits("%.17g" % v) == (k, n):
+                    values[k, n] = v
+                    break
+    return values
+
+
+LAYOUTS = _layout_values()
+LAYOUT_VALUES = [sign * v for v in LAYOUTS.values() for sign in (1, -1)]
+# zero, specials, and values %.17g prints with an exponent
+FALLBACK = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -9.999e-5, 1e16, 2.5e-300, 1e300]
+# just below a power of ten: floor(log10 |x|) is one too high, so the exact path redoes k
+REDO = [sign * np.nextafter(10.0 ** e, 0) for e in range(-4, 16) for sign in (1, -1)]
+CHUNKS = {
+    "all_exact": LAYOUT_VALUES,
+    "all_fallback": FALLBACK,
+    "mixed": [v for pair in zip(LAYOUT_VALUES, FALLBACK * 68) for v in pair],
+    "mixed_with_redo": [v for trio in zip(REDO, FALLBACK * 4, LAYOUT_VALUES) for v in trio],
+}
+
+
+def test_layouts_cover_every_exponent_and_digit_count():
+    assert sorted(LAYOUTS) == [(k, n) for k in range(-4, 16) for n in range(1, 18)]
+    redone = [v for v in REDO
+              if abs(v) >= 1e-4 and np.floor(np.log10(abs(v))) != _digits("%.17g" % v)[0]]
+    assert len(redone) > 20
+
+
+@pytest.mark.parametrize("values", CHUNKS.values(), ids=CHUNKS.keys())
+def test_format_17g_is_percent_format_in_every_layout(values):
+    assert formatted(values) == percent(values)
+
+
+def _digit_texts(values):
+    words = cli._digit_words(np.asarray(values, dtype=np.uint64)) | 0x3030303030303030
+    return words.astype("<u8").view("S8").tolist()
+
+
+def test_digit_words_in_every_lane_value():
+    lane = np.arange(10 ** 4)
+    for values in (10 ** 4 * lane + lane[::-1], 10 ** 4 * lane[::-1] + lane):
+        assert _digit_texts(values) == [b"%08d" % v for v in values.tolist()]
+
+
+def test_digit_words_on_random_values():
+    values = np.random.default_rng(8).integers(0, 10 ** 8, 10 ** 6)
+    assert _digit_texts(values) == [b"%08d" % v for v in values.tolist()]
 
 
 def old_writer(ts, deltas, alpha, columns):
