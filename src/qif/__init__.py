@@ -12,17 +12,8 @@ Modules:
     feasibility    SI-unit electron-beam estimates
     spinor         cold-atom pulse sequence over the same two-mode state
     circuitfile    the .qif experiment-description language
+    sweepcsv       the sweep CSV and its exact "%.17g" formatter
     cli            command-line interface
 """
-
-from . import (  # noqa: F401
-    analytic,
-    circuitfile,
-    feasibility,
-    interferometer,
-    spinor,
-    splitstep,
-    wavepacket,
-)
 
 __version__ = "0.1.0"

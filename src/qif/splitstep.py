@@ -72,13 +72,23 @@ def _check_leakage(wf: PositionWavefunction) -> None:
         )
 
 
+def _kinetic_phase(grid: wp.GridSpec, dt: float, config: PropagationConfig) -> np.ndarray:
+    """exp(-i p^2 dt / 2m) on the grid; its largest exponent is refused before numpy
+    builds the phase and warns."""
+    p_edge = max(abs(grid.p_min), abs(grid.p_max))
+    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
+        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
+                             f"at mass={config.mass}, dt={dt}")
+    return np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
+
+
 def free_propagate(wf: PositionWavefunction, time: float,
                    config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
     """Exact kinetic evolution exp(-i p^2 t / 2m), applied in momentum space."""
     if time == 0.0:
         return wf
     grid = wf.grid
-    kinetic = np.exp(-0.5j * grid.p * grid.p * time / config.mass)
+    kinetic = _kinetic_phase(grid, time, config)
     return PositionWavefunction(grid, grid.momentum_phase(wf.amplitudes.copy(), kinetic))
 
 
@@ -96,19 +106,13 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     _check_leakage(wf)
     grid = wf.grid
     dt = pulse.duration / pulse.substeps
-    p_edge = max(abs(grid.p_min), abs(grid.p_max))
-    z_edge = float(np.max(np.abs(grid.z)))
-    # each phase's largest exponent, refused before numpy builds the phase and warns
-    exponents = {f"kinetic phase p^2 dt/m overflows at mass={config.mass}":
-                 p_edge * p_edge * dt / float(config.mass),
-                 f"potential phase F z dt/2 overflows at force={pulse.force}":
-                 0.5 * pulse.force * z_edge * dt}
-    for overflow, exponent in exponents.items():
-        if not math.isfinite(exponent):
-            raise ParameterError(f"non-finite amplitudes: {overflow}, dt={dt}")
+    kinetic = _kinetic_phase(grid, dt, config)
+    # the largest exponent, refused before numpy builds the phase and warns
+    if not math.isfinite(0.5 * pulse.force * float(np.max(np.abs(grid.z))) * dt):
+        raise ParameterError(f"non-finite amplitudes: potential phase F z dt/2 overflows "
+                             f"at force={pulse.force}, dt={dt}")
     half_ramp = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
     ramp = half_ramp * half_ramp
-    kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
     psi = wf.amplitudes * half_ramp
     for step in range(pulse.substeps):
         psi = grid.momentum_phase(psi, kinetic)

@@ -4,16 +4,21 @@ bench/spans.py wraps each name in its NAMES with getattr; a rename or a
 deletion there would otherwise surface only as a crash of ``--trace 1``.
 Beyond callability, its wrapper reads ``is_dark`` from what ``port_stats``
 returns and ``substeps`` from ``apply_impulse``'s second positional argument.
+The benchmark's own self-test runs here too, so that a change to the package
+that breaks its generator or checker fails these tests.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from qif import cli
 from qif.errors import QifError
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _spans():
@@ -30,6 +35,23 @@ def test_every_span_target_is_callable():
         module, func = name.split(".")
         target = getattr(importlib.import_module("qif." + module), func, None)
         assert callable(target), name
+
+
+def test_importing_cli_loads_every_traced_module():
+    # Tracer.install looks each module up in sys.modules after the benchmark imports
+    # qif.cli alone; a fresh interpreter shows what that import loads
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import qif.cli; "
+            "print(*sorted(sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    missing = [m for m in _spans().MODULES if "qif." + m not in loaded]
+    assert not missing
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run([sys.executable, "selftest.py"], cwd=ROOT / "bench",
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_traced_run_reads_dark_ports_and_substeps(tmp_path, capsys):

@@ -24,6 +24,7 @@ recombine
 select port=C
 report moments
 """
+HEADER = "t,delta,alpha,p_c,mean_c,p_d,mean_d,residual"
 
 
 def run(argv):
@@ -58,13 +59,6 @@ class TestSimulate:
         assert captured.err == f"{path}: line 2, column 6: expected key=value, got '0.5'\n"
         assert captured.out == ""
 
-    def test_grid_env_override(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "run.qif"
-        path.write_text(CANONICAL)
-        monkeypatch.setenv("QIF_GRID_N", "512")
-        assert run(["simulate", str(path)]) == 0
-        assert "port C" in capsys.readouterr().out
-
 
 class TestSweep:
     def _sweep(self, tmp_path, name, extra=(), t=(0.1, 0.9, 5), delta=(0.1, 1.9, 4)):
@@ -76,12 +70,12 @@ class TestSweep:
 
     @staticmethod
     def _csv(rows):
-        return [cli.CSV_HEADER] + [",".join(format(x, ".17g") for x in row) for row in rows]
+        return [HEADER] + [",".join(format(x, ".17g") for x in row) for row in rows]
 
     def test_header_and_shape(self, tmp_path, capsys):
         text = self._sweep(tmp_path, "s.csv")
         lines = text.splitlines()
-        assert lines[0] == cli.CSV_HEADER
+        assert lines[0] == HEADER
         assert len(lines) == 1 + 5 * 4
         assert "min mean_C" in capsys.readouterr().out
 
@@ -199,10 +193,10 @@ class TestSweep:
         assert "transmission" in capsys.readouterr().err
         assert out.read_text() == "earlier results\n"
 
-    def test_oracle_sweep_ignores_grid_setting(self, tmp_path, capsys, monkeypatch):
+    def test_oracle_sweep_ignores_grid_setting(self, tmp_path, capsys):
         plain = self._sweep(tmp_path, "plain.csv")
-        monkeypatch.setenv("QIF_GRID_N", "1000")  # not a power of two
-        assert self._sweep(tmp_path, "env.csv") == plain
+        # not a power of two: a grid sweep refuses it
+        assert self._sweep(tmp_path, "n.csv", extra=["--grid-n", "1000"]) == plain
 
     def test_unwritable_path(self, tmp_path, capsys):
         argv = ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0.1", "1.9", "3",
@@ -538,142 +532,138 @@ class TestBec:
 # wrapped; "{file}" stands for a circuit file holding the case's text
 REFUSED = [
     ("bs_t_out_of_range", CANONICAL.replace("t=0.85", "t=1.5"),
-     ["simulate", "{file}"], {}, "line 2"),
+     ["simulate", "{file}"], "line 2"),
     ("zero_width", CANONICAL.replace("width=1", "width=0"),
-     ["simulate", "{file}"], {}, "line 1"),
+     ["simulate", "{file}"], "line 1"),
     ("bec_t_out_of_range", None,
-     ["bec", "--t", "2", "--delta-a", "0", "--delta-b", "0.2"], {}, "transmission"),
-    ("zero_substeps", None, ["propagate", "--substeps", "0"], {}, "substeps"),
+     ["bec", "--t", "2", "--delta-a", "0", "--delta-b", "0.2"], "transmission"),
+    ("zero_substeps", None, ["propagate", "--substeps", "0"], "substeps"),
     # once a loop of centuries: only substeps < 1 was refused
-    ("propagate_substeps_1e18", None, ["propagate", "--substeps", str(10 ** 18)], {},
+    ("propagate_substeps_1e18", None, ["propagate", "--substeps", str(10 ** 18)],
      "substeps must be in [1, 1000000], got 1000000000000000000"),
-    ("propagate_substeps_2_to_63", None, ["propagate", "--substeps", str(2 ** 63)], {},
+    ("propagate_substeps_2_to_63", None, ["propagate", "--substeps", str(2 ** 63)],
      "substeps must be in [1, 1000000], got 9223372036854775808"),
-    ("zero_mass", None, ["propagate", "--mass", "0"], {}, "mass"),
+    ("zero_mass", None, ["propagate", "--mass", "0"], "mass"),
     ("negative_samples", None,
-     ["oracle-check", "--samples", "-1", "--seed", "1"], {}, "samples"),
-    ("negative_seed", None, ["oracle-check", "--seed", "-1"], {},
+     ["oracle-check", "--samples", "-1", "--seed", "1"], "samples"),
+    ("negative_seed", None, ["oracle-check", "--seed", "-1"],
      "--seed must be non-negative, got -1"),
-    ("feasibility_voltage_nan", None, ["feasibility", "--voltage-mv", "nan"], {}, "voltage_v"),
-    ("feasibility_voltage_infinite", None, ["feasibility", "--voltage-mv", "inf"], {},
+    ("feasibility_voltage_nan", None, ["feasibility", "--voltage-mv", "nan"], "voltage_v"),
+    ("feasibility_voltage_infinite", None, ["feasibility", "--voltage-mv", "inf"],
      "voltage_v must be finite, got inf"),
-    ("feasibility_plate_length_infinite", None, ["feasibility", "--plate-len-cm", "inf"], {},
+    ("feasibility_plate_length_infinite", None, ["feasibility", "--plate-len-cm", "inf"],
      "plate_length_m must be finite, got inf"),
-    ("feasibility_drift_infinite", None, ["feasibility", "--drift-m", "inf"], {},
+    ("feasibility_drift_infinite", None, ["feasibility", "--drift-m", "inf"],
      "drift_distance_m must be finite, got inf"),
-    ("feasibility_slit_infinite", None, ["feasibility", "--slit-um", "inf"], {},
+    ("feasibility_slit_infinite", None, ["feasibility", "--slit-um", "inf"],
      "slit_width_m must be finite, got inf"),
     # sigma0 squared underflows to 0, so the spread after the drift is infinite
-    ("feasibility_slit_underflows", None, ["feasibility", "--slit-um", "1e-300"], {},
+    ("feasibility_slit_underflows", None, ["feasibility", "--slit-um", "1e-300"],
      "non-finite beam_width_at_drift = inf"),
     # sigma0 = 5e-324 / 2 rounds to 0: once a ZeroDivisionError
-    ("feasibility_slit_subnormal", None, ["feasibility", "--slit-um", "5e-318"], {},
+    ("feasibility_slit_subnormal", None, ["feasibility", "--slit-um", "5e-318"],
      "non-finite beam_width_at_drift = nan, momentum_width = inf"),
-    ("feasibility_energy_underflows", None, ["feasibility", "--energy-kev", "1e-300"], {},
+    ("feasibility_energy_underflows", None, ["feasibility", "--energy-kev", "1e-300"],
      "non-finite time_of_flight = inf"),
-    ("grid_env_not_power_of_two", CANONICAL,
-     ["simulate", "{file}"], {"QIF_GRID_N": "1000"}, "power of two"),
-    ("grid_env_not_integer", CANONICAL,
-     ["simulate", "{file}"], {"QIF_GRID_N": "abc"}, "QIF_GRID_N"),
-    ("grid_sweep_env_not_power_of_two", None,
+    ("simulate_grid_not_power_of_two", CANONICAL,
+     ["simulate", "{file}", "--grid-n", "1000"], "power of two"),
+    ("grid_sweep_not_power_of_two", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
-      "--out", "{file}"], {"QIF_GRID_N": "1000"}, "power of two"),
+      "--grid-n", "1000", "--out", "{file}"], "power of two"),
     ("grid_flag_zero", CANONICAL,
-     ["simulate", "{file}", "--grid-n", "0"], {}, "power of two"),
+     ["simulate", "{file}", "--grid-n", "0"], "power of two"),
     ("kick_wraps_past_grid_edge",
      CANONICAL.replace("mean=0", "mean=9").replace("t=0.85", "t=0.8")
      .replace("delta=0.2", "delta=7.9"),
-     ["simulate", "{file}"], {}, "line 3"),
+     ["simulate", "{file}"], "line 3"),
     ("circuit_not_utf8", b"source width=1 mean=0\n\xff\xfe\n",
-     ["simulate", "{file}"], {}, "utf-8"),
+     ["simulate", "{file}"], "utf-8"),
     ("sweep_t_out_of_range", None,
-     ["sweep", "--t", "0.1", "1.5", "3", "--delta", "0", "1", "3", "--out", "{file}"], {},
+     ["sweep", "--t", "0.1", "1.5", "3", "--delta", "0", "1", "3", "--out", "{file}"],
      "transmission"),
     ("sweep_delta_infinite", None,
-     ["sweep", "--t", "0.1", "0.5", "3", "--delta", "0", "inf", "3", "--out", "{file}"], {},
+     ["sweep", "--t", "0.1", "0.5", "3", "--delta", "0", "inf", "3", "--out", "{file}"],
      "--delta HI must be finite, got inf"),
     ("sweep_alpha_nan", None,
      ["sweep", "--t", "0.1", "0.5", "3", "--delta", "0", "1", "3", "--alpha", "nan",
-      "--out", "{file}"], {}, "--alpha must be finite, got nan"),
-    ("propagate_force_infinite", None, ["propagate", "--force", "inf"], {},
+      "--out", "{file}"], "--alpha must be finite, got nan"),
+    ("propagate_force_infinite", None, ["propagate", "--force", "inf"],
      "force must be finite, got inf"),
-    ("propagate_tau_nan", None, ["propagate", "--tau", "nan"], {},
+    ("propagate_tau_nan", None, ["propagate", "--tau", "nan"],
      "duration must be finite and non-negative, got nan"),
     ("source_narrower_than_grid_step", CANONICAL.replace("width=1", "width=0.001"),
-     ["simulate", "{file}"], {}, "line 1"),
+     ["simulate", "{file}"], "line 1"),
     # dp < W, but the sampled norm is off by 1e-4: P_C + P_D - 1 = 1.03e-4
     ("circuit_breaks_unitarity",
      CANONICAL.replace("width=1", "width=0.0078125").replace("t=0.85", "t=0.6")
      .replace("delta=0.2", "delta=0.001"),
-     ["simulate", "{file}"], {}, "line 4: recombine: unitarity violated"),
-    ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], {}, "mass=1e-320"),
+     ["simulate", "{file}"], "line 4: recombine: unitarity violated"),
+    ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], "mass=1e-320"),
     # once exit 0 with "mass = inf" and fidelity 1
-    ("propagate_mass_infinite", None, ["propagate", "--mass", "inf"], {},
+    ("propagate_mass_infinite", None, ["propagate", "--mass", "inf"],
      "mass must be positive and finite, got inf"),
     # once reported as a wrap: nan compares false with the quarter-span guard
-    ("bec_kick_nan", None, ["bec", "--t", "0.5", "--delta-a", "nan", "--delta-b", "0"], {},
+    ("bec_kick_nan", None, ["bec", "--t", "0.5", "--delta-a", "nan", "--delta-b", "0"],
      "kick delta must be finite, got nan"),
-    ("propagate_force_overflows", None, ["propagate", "--force", "1e308"], {},
+    ("propagate_force_overflows", None, ["propagate", "--force", "1e308"],
      "potential phase F z dt/2 overflows at force=1e+308"),
     ("sweep_one_step", None,
-     ["sweep", "--t", "0.1", "0.9", "1", "--delta", "0", "1", "3", "--out", "{file}"], {},
+     ["sweep", "--t", "0.1", "0.9", "1", "--delta", "0", "1", "3", "--out", "{file}"],
      "sweep needs at least 2 steps per axis"),
     ("sweep_fractional_steps", None,
-     ["sweep", "--t", "0.1", "0.9", "2.5", "--delta", "0", "1", "2", "--out", "{file}"], {},
+     ["sweep", "--t", "0.1", "0.9", "2.5", "--delta", "0", "1", "2", "--out", "{file}"],
      "--t STEPS must be a whole number, got 2.5"),
     ("sweep_too_many_cells", None,
-     ["sweep", "--t", "0.1", "0.9", "1e300", "--delta", "0", "1", "2", "--out", "{file}"], {},
+     ["sweep", "--t", "0.1", "0.9", "1e300", "--delta", "0", "1", "2", "--out", "{file}"],
      "exceeds MAX_SWEEP_CELLS"),
     # numpy refuses these PiB arrays before it touches memory: once a traceback, exit 1
     ("oracle_check_samples_past_memory", None,
-     ["oracle-check", "--samples", str(10 ** 15), "--seed", "1"], {}, "error: Unable to allocate"),
+     ["oracle-check", "--samples", str(10 ** 15), "--seed", "1"], "error: Unable to allocate"),
     ("bec_grid_past_memory", None,
-     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 50)], {},
+     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 50)],
      "error: Unable to allocate"),
-    ("propagate_grid_past_memory", None, ["propagate", "--grid-n", str(2 ** 50)], {},
+    ("propagate_grid_past_memory", None, ["propagate", "--grid-n", str(2 ** 50)],
      "error: Unable to allocate"),
-    ("grid_env_past_memory", CANONICAL,
-     ["simulate", "{file}"], {"QIF_GRID_N": str(2 ** 50)}, "error: Unable to allocate"),
+    ("simulate_grid_past_memory", CANONICAL,
+     ["simulate", "{file}", "--grid-n", str(2 ** 50)], "error: Unable to allocate"),
     ("grid_sweep_past_memory", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
-      "--grid-n", str(2 ** 50), "--out", "{file}"], {}, "error: Unable to allocate"),
+      "--grid-n", str(2 ** 50), "--out", "{file}"], "error: Unable to allocate"),
     # sizes whose complex (or sample) arrays numpy cannot address at all: once a
     # ValueError traceback, exit 1; at 2^63 a false "amplitude array does not match grid"
-    ("propagate_grid_past_address", None, ["propagate", "--grid-n", str(2 ** 62)], {},
+    ("propagate_grid_past_address", None, ["propagate", "--grid-n", str(2 ** 62)],
      "n_points=4611686018427387904 is too large for a complex array"),
     ("bec_grid_past_address", None,
-     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 62)], {},
+     ["bec", "--t", "0.5", "--delta-a", "0", "--delta-b", "0.2", "--grid-n", str(2 ** 62)],
      "n_points=4611686018427387904 is too large"),
-    ("grid_env_past_address", CANONICAL,
-     ["simulate", "{file}"], {"QIF_GRID_N": str(2 ** 62)}, "n_points=4611686018427387904"),
+    ("simulate_grid_past_address", CANONICAL,
+     ["simulate", "{file}", "--grid-n", str(2 ** 62)], "n_points=4611686018427387904"),
     ("grid_sweep_past_address", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "0", "1", "3", "--backend", "grid",
-      "--grid-n", str(2 ** 62), "--out", "{file}"], {}, "n_points=4611686018427387904"),
-    ("propagate_grid_2_to_63", None, ["propagate", "--grid-n", str(2 ** 63)], {},
+      "--grid-n", str(2 ** 62), "--out", "{file}"], "n_points=4611686018427387904"),
+    ("propagate_grid_2_to_63", None, ["propagate", "--grid-n", str(2 ** 63)],
      "n_points=9223372036854775808 is too large for a complex array"),
-    ("simulate_grid_2_to_64", CANONICAL, ["simulate", "{file}", "--grid-n", str(2 ** 64)], {},
+    ("simulate_grid_2_to_64", CANONICAL, ["simulate", "{file}", "--grid-n", str(2 ** 64)],
      "n_points=18446744073709551616 is too large for a complex array"),
     ("oracle_check_samples_past_address", None,
-     ["oracle-check", "--samples", str(2 ** 62), "--seed", "1"], {},
+     ["oracle-check", "--samples", str(2 ** 62), "--seed", "1"],
      "--samples=4611686018427387904 is too large for a numpy array"),
     # finite bounds whose difference overflows; argparse reads "-1e308" as an option
     ("sweep_delta_span_overflows", None,
      ["sweep", "--t", "0.1", "0.9", "3", "--delta", "-1" + "0" * 308, "1e308", "3",
-      "--out", "{file}"], {}, "--delta span HI - LO overflows"),
+      "--out", "{file}"], "--delta span HI - LO overflows"),
 ]
 
 
-@pytest.mark.parametrize("text, argv, env, fragment",
+@pytest.mark.parametrize("text, argv, fragment",
                          [case[1:] for case in REFUSED],
                          ids=[case[0] for case in REFUSED])
-def test_bad_input_refused(tmp_path, capsys, monkeypatch, text, argv, env, fragment):
+def test_bad_input_refused(tmp_path, capsys, text, argv, fragment):
     path = tmp_path / "case.qif"
     if isinstance(text, bytes):
         path.write_bytes(text)
     elif text is not None:
         path.write_text(text)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     code = run([arg.replace("{file}", str(path)) for arg in argv])
     captured = capsys.readouterr()
     assert code in (2, 3)

@@ -1,5 +1,7 @@
 """Split-step propagation and the impulsive-kick approximation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,12 @@ class TestPipelineEquivalence:
         assert out_c.mean_p == pytest.approx(s.mean_c, abs=1e-4)
         assert out_d.probability == pytest.approx(s.p_d, abs=1e-4)
         assert out_d.mean_p == pytest.approx(s.mean_d, abs=1e-4)
+
+    def test_free_arm_refuses_an_overflowing_kinetic_phase(self, gauss):
+        # arm A's free evolution holds the same check as the kick, before numpy warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"kinetic phase p\^2 dt/m overflows "
+                                                     r"at mass=1e-307, dt=0.2"):
+                ss.run_mzi_splitstep(gauss, 0.8, ImpulsePulse(1, 0.2, 4),
+                                     PropagationConfig(mass=1e-307))

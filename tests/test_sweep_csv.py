@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qif import cli
+from qif import cli, sweepcsv
 
 
 def formatted(values):
     """format_17g's text of each value, its NUL padding dropped."""
-    rows = cli.format_17g(np.asarray(values, dtype=np.float64))
+    rows = sweepcsv.format_17g(np.asarray(values, dtype=np.float64))
     assert rows.shape == (len(values), 24) and rows.dtype == np.uint8
     return [row[row != 0].tobytes() for row in rows]
 
@@ -97,7 +97,7 @@ def test_format_17g_is_percent_format_in_every_layout(values):
 
 
 def _digit_texts(values):
-    words = cli._digit_words(np.asarray(values, dtype=np.uint64)) | 0x3030303030303030
+    words = sweepcsv._digit_words(np.asarray(values, dtype=np.uint64)) | 0x3030303030303030
     return words.astype("<u8").view("S8").tolist()
 
 
@@ -116,7 +116,7 @@ def old_writer(ts, deltas, alpha, columns):
     """The per-cell writer that format_17g replaced: one % format per CSV row."""
     cells = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
     heads = ["%.17g,%.17g," % (d, alpha) for d in deltas.tolist()]
-    text = [cli.CSV_HEADER + "\n"]
+    text = [sweepcsv.CSV_HEADER + "\n"]
     for i, t in enumerate(ts.tolist()):
         rows = zip(heads, zip(*(column[i].tolist() for column in columns)))
         text.append("".join(["%.17g," % t + head + cells % cell for head, cell in rows]))
@@ -126,8 +126,8 @@ def old_writer(ts, deltas, alpha, columns):
 def sweep(tmp_path, monkeypatch, argv):
     """Run `qif sweep`; return the CSV bytes and the writer's arguments."""
     calls = []
-    real = cli.write_sweep_csv
-    monkeypatch.setattr(cli, "write_sweep_csv",
+    real = sweepcsv.write_sweep_csv
+    monkeypatch.setattr(sweepcsv, "write_sweep_csv",
                         lambda fh, *args: calls.append(args) or real(fh, *args))
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
@@ -168,11 +168,11 @@ def test_csv_bytes_equal_the_old_writer_at_delta_1e200(tmp_path, capsys, monkeyp
 
 def test_formatter_input_never_exceeds_the_chunk(tmp_path, capsys, monkeypatch):
     sizes = []
-    real = cli.format_17g
-    monkeypatch.setattr(cli, "format_17g", lambda x: sizes.append(len(x)) or real(x))
+    real = sweepcsv.format_17g
+    monkeypatch.setattr(sweepcsv, "format_17g", lambda x: sizes.append(len(x)) or real(x))
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--t", "0.05", "0.95", "200", "--delta", "0.01", "2", "200",
             "--alpha", "0.3", "--out", str(out)]
     assert cli.main(argv) == 0
-    assert max(sizes) <= cli.CSV_CHUNK
+    assert max(sizes) <= sweepcsv.CSV_CHUNK
     assert sum(sizes) == 200 + 200 + 1 + 5 * 200 * 200  # each axis once, then the surfaces
