@@ -17,6 +17,7 @@ sweep` evaluates a whole t x delta surface with one call.
 
 import numpy as np
 
+from .errors import ParameterError
 from .interferometer import BeamSplitterCoeffs, PortStats
 from .wavepacket import DARK_THRESHOLD
 
@@ -52,4 +53,7 @@ def stats_grid(t, delta, alpha=0.0):
 def closed_form_stats(t: float, delta_over_w: float, alpha: float = 0.0) -> PortStats:
     """Analytic P_C, <p>_C, P_D, <p>_D for a Gaussian input: one cell of stats_grid."""
     BeamSplitterCoeffs(t)
+    for name, value in (("kick delta", delta_over_w), ("phase alpha", alpha)):
+        if not np.isfinite(value):  # refused before numpy returns nan or warns
+            raise ParameterError(f"{name} must be finite, got {value}")
     return PortStats(*map(float, stats_grid(t, delta_over_w, alpha)))

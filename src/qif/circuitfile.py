@@ -219,9 +219,7 @@ def execute(program: CircuitProgram, grid: wp.GridSpec) -> ExecutionResult:
             elif ins.name == "phase":
                 state = mzi.phase(state, ins.args["path"], ins.args["alpha"])
             elif ins.name == "recombine":
-                raw_c, raw_d = mzi.recombine(state)
-                out_c = result.outcome_c = mzi.port_stats(grid, raw_c, "C")
-                out_d = result.outcome_d = mzi.port_stats(grid, raw_d, "D")
+                out_c, out_d = result.outcome_c, result.outcome_d = mzi.exit_ports(state)
                 # arm A's kick moves the input's mean; delta is B's kick relative to A's
                 result.conservation_residual = float(mzi.check_ports(
                     out_c.probability, out_c.mean_p, out_d.probability, out_d.mean_p, bs_t,

@@ -148,6 +148,12 @@ def _divide(z, s):
     return out if out.view(np.float64).all() else z / s
 
 
+def exit_ports(state: TwoPathState):
+    """Second beam splitter, then post-selection at ports C and D: two PortOutcomes."""
+    raw_c, raw_d = recombine(state)
+    return port_stats(state.grid, raw_c, "C"), port_stats(state.grid, raw_d, "D")
+
+
 def port_stats(grid: wp.GridSpec, raw: np.ndarray, port: str) -> PortOutcome:
     """Probability, normalized wavefunction and conditional mean of port amplitudes raw."""
     prob, mean, amp = port_moments(grid, raw)
@@ -197,8 +203,7 @@ def check_ports(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0,
 
 def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float, alpha: float = 0.0):
     """Full pipeline: split, kick arm B, recombine, post-select both ports."""
-    raw_c, raw_d = recombine(apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha))
-    return port_stats(input_wf.grid, raw_c, "C"), port_stats(input_wf.grid, raw_d, "D")
+    return exit_ports(apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha))
 
 
 def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats:

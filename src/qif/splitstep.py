@@ -12,6 +12,7 @@ the edges of the position window, and this is checked.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class ImpulsePulse:
             raise ParameterError(f"force must be finite, got {self.force}")
         if not 0 <= self.duration < np.inf:
             raise ParameterError(f"duration must be finite and non-negative, got {self.duration}")
+        if not isinstance(self.substeps, numbers.Integral):
+            raise ParameterError(f"substeps must be an integer, got {self.substeps}")
         if not 1 <= self.substeps <= MAX_SUBSTEPS:
             raise ParameterError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps}")
 
@@ -72,26 +75,6 @@ def _check_leakage(wf: PositionWavefunction) -> None:
         )
 
 
-def _kinetic_phase(grid: wp.GridSpec, dt: float, config: PropagationConfig) -> np.ndarray:
-    """exp(-i p^2 dt / 2m) on the grid; its largest exponent is refused before numpy
-    builds the phase and warns."""
-    p_edge = max(abs(grid.p_min), abs(grid.p_max))
-    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
-        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
-                             f"at mass={config.mass}, dt={dt}")
-    return np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
-
-
-def free_propagate(wf: PositionWavefunction, time: float,
-                   config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
-    """Exact kinetic evolution exp(-i p^2 t / 2m), applied in momentum space."""
-    if time == 0.0:
-        return wf
-    grid = wf.grid
-    kinetic = _kinetic_phase(grid, time, config)
-    return PositionWavefunction(grid, grid.momentum_phase(wf.amplitudes.copy(), kinetic))
-
-
 def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
                   config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
     """Strang-split evolution under H = p^2/2m - F z for the pulse duration.
@@ -106,8 +89,12 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     _check_leakage(wf)
     grid = wf.grid
     dt = pulse.duration / pulse.substeps
-    kinetic = _kinetic_phase(grid, dt, config)
-    # the largest exponent, refused before numpy builds the phase and warns
+    # the largest exponents, refused before numpy builds the phases and warns
+    p_edge = max(abs(grid.p_min), abs(grid.p_max))
+    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
+        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
+                             f"at mass={config.mass}, dt={dt}")
+    kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
     if not math.isfinite(0.5 * pulse.force * float(np.max(np.abs(grid.z))) * dt):
         raise ParameterError(f"non-finite amplitudes: potential phase F z dt/2 overflows "
                              f"at force={pulse.force}, dt={dt}")
@@ -122,6 +109,12 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)
     return out
+
+
+def free_propagate(wf: PositionWavefunction, time: float,
+                   config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
+    """Exact kinetic evolution exp(-i p^2 t / 2m): a zero-force pulse of one substep."""
+    return apply_impulse(wf, ImpulsePulse(0.0, time), config)
 
 
 def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
@@ -153,5 +146,4 @@ def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePu
                            pulse.duration, config)
     psi_b = apply_impulse(PositionWavefunction(grid, grid.p_to_z(state.path_b)), pulse, config)
     evolved = mzi.TwoPathState(grid, grid.z_to_p(psi_a.amplitudes), grid.z_to_p(psi_b.amplitudes))
-    raw_c, raw_d = mzi.recombine(evolved)
-    return mzi.port_stats(grid, raw_c, "C"), mzi.port_stats(grid, raw_d, "D")
+    return mzi.exit_ports(evolved)

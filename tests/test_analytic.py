@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from qif import analytic, interferometer as mzi, wavepacket as wp
+from qif.errors import ParameterError
 
 
 def _phi(p):
@@ -88,6 +89,19 @@ class TestClosedFormStats:
         for t in (-0.1, 1.5, np.nan):
             with pytest.raises(ValueError, match="transmission"):
                 analytic.closed_form_stats(t, 0.2)
+
+    @pytest.mark.parametrize("delta, alpha, refused", [
+        (np.nan, 0.0, "kick delta must be finite, got nan"),
+        (-np.inf, 0.0, "kick delta must be finite, got -inf"),
+        (0.1, np.inf, "phase alpha must be finite, got inf"),
+        (0.1, np.nan, "phase alpha must be finite, got nan"),
+    ])
+    def test_non_finite_kick_or_phase_refused_without_a_warning(self, delta, alpha, refused):
+        # the surface returns nan or warns here; its scalar view refuses, as the grid does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=refused):
+                analytic.closed_form_stats(0.5, delta, alpha)
 
     def test_balanced_dark_port(self):
         s = analytic.closed_form_stats(1 / np.sqrt(2), 0.0, 0.0)
@@ -179,3 +193,35 @@ class TestStatsGrid:
             assert m_c[i] == pytest.approx(s.mean_c, abs=1e-12)
             assert p_d[i] == pytest.approx(s.p_d, abs=1e-14)
             assert m_d[i] == pytest.approx(s.mean_d, abs=1e-12)
+
+
+def _weak_value(t):
+    """<f|Pi_B|psi> / <f|psi> for psi = (t, i r) and port C's f = (1, -i)/sqrt(2)."""
+    r = np.sqrt(1.0 - t * t)
+    psi, f = np.array([t, 1j * r]), np.array([1.0, -1j]) / np.sqrt(2.0)
+    w = np.vdot(f, np.diag([0.0, 1.0]) @ psi) / np.vdot(f, psi)
+    assert w.imag == 0.0
+    return w.real
+
+
+class TestWeakValue:
+    """As delta -> 0, <p>_C / delta tends to the weak value of arm B's projector,
+    r / (r - t) (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988))."""
+
+    @pytest.mark.parametrize("t", [0.6, 0.75, 0.85, 0.95])
+    def test_port_c_mean_tends_to_it_at_second_order(self, gauss, t):
+        w = _weak_value(t)
+        assert w == pytest.approx(np.sqrt(1 - t * t) / (np.sqrt(1 - t * t) - t), rel=1e-14)
+        errors = []
+        for delta in (1e-2, 1e-3):
+            oracle = analytic.stats_grid(t, delta).mean_c
+            grid = mzi.run_mzi(gauss, t, delta)[0].mean_p
+            errors.append([abs(oracle / delta - w), abs(grid / delta - w)])
+        coarse, fine = np.array(errors)
+        np.testing.assert_allclose(fine / coarse, 0.0100, atol=0.0005)
+
+    def test_negative_exactly_when_t_exceeds_r(self):
+        assert _weak_value(0.85) == pytest.approx(-1.6298096281, abs=1e-10)
+        assert _weak_value(0.6) == pytest.approx(4.0, rel=1e-14)
+        for t in np.linspace(0.02, 0.98, 49):
+            assert (_weak_value(t) < 0) == (t > np.sqrt(1 - t * t)), t

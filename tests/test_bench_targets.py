@@ -4,12 +4,14 @@ bench/spans.py wraps each name in its NAMES with getattr; a rename or a
 deletion there would otherwise surface only as a crash of ``--trace 1``.
 Beyond callability, its wrapper reads ``is_dark`` from what ``port_stats``
 returns and ``substeps`` from ``apply_impulse``'s second positional argument.
-The benchmark's own self-test runs here too, so that a change to the package
-that breaks its generator or checker fails these tests.
+The benchmark's own self-test runs here too, and one pass of every workload
+through its checker, so that a change to the package that breaks its
+generator or checker, or that a workload call would fail on, fails these tests.
 """
 
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,33 @@ from qif.errors import QifError
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
+#: One pass of every workload at seed 3, each call run and judged as bench/run.py does;
+#: argv[1] is an empty directory for the pass's input files and CSVs.
+CHECKED_PASS = """
+import sys
+from pathlib import Path
+from check import check
+from run import SRC, run_call
+from workloads import WORKLOADS, generate
+sys.path.insert(0, str(SRC))
+from qif import cli
+checked, failures = 0, []
+for workload in WORKLOADS:
+    work = Path(sys.argv[1]) / workload
+    work.mkdir()
+    calls, files = generate(workload, 3)
+    for name, text in files.items():
+        (work / name).write_text(text, encoding="utf-8")
+    for call in calls:
+        argv = [a.replace("{dir}", str(work)) for a in call.argv]
+        csv = work / call.expect["out"] if "out" in call.expect else None
+        reason = check(call, run_call(cli, argv, csv)[0])
+        checked += 1
+        if reason is not None:
+            failures.append(f"{workload} {call.kind}: {reason}")
+print(*failures, f"checked {checked} calls", sep="\\n")
+sys.exit(1 if failures else 0)
+"""
 
 
 def _spans():
@@ -52,6 +81,17 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "selftest.py"], cwd=ROOT / "bench",
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_workload_call_passes_the_benchmark_checker(tmp_path):
+    # the known-defect probes are among the calls: one that stops refusing fails here
+    env = {k: v for k, v in os.environ.items() if k != "QIF_GRID_N"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run([sys.executable, "-c", CHECKED_PASS, str(tmp_path)],
+                          cwd=ROOT / "bench", env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("checked ") and done.stdout.split()[1] != "0"
 
 
 def test_traced_run_reads_dark_ports_and_substeps(tmp_path, capsys):

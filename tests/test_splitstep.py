@@ -47,6 +47,16 @@ class TestFreePropagate:
         out = ss.free_propagate(psi0, 5.0)
         assert wp.norm(out) == pytest.approx(wp.norm(psi0), abs=1e-12)
 
+    def test_spread_to_the_window_edges_refused(self, psi0):
+        # free flight is a zero-force pulse, so it runs under the pulse's leak guard
+        with pytest.raises(BoundaryLeakError, match=r"probability at window edges: 8\.660e-03$"):
+            ss.free_propagate(psi0, 200.0)
+
+    @pytest.mark.parametrize("time", [-0.1, np.nan])
+    def test_negative_or_nan_time_refused(self, psi0, time):
+        with pytest.raises(ParameterError, match="duration must be finite and non-negative"):
+            ss.free_propagate(psi0, time)
+
 
 class TestApplyImpulse:
     def test_zero_duration_identity(self, psi0):
@@ -111,6 +121,16 @@ class TestApplyImpulse:
     def test_pulse_refuses_non_finite_or_negative(self, force, duration):
         with pytest.raises(ParameterError, match="must be finite"):
             ImpulsePulse(force=force, duration=duration)
+
+    @pytest.mark.parametrize("substeps", [2.5, 2.0, np.float64(3.0), "4"])
+    def test_pulse_refuses_a_step_count_that_is_not_an_integer(self, substeps):
+        with pytest.raises(ParameterError, match="substeps must be an integer"):
+            ImpulsePulse(force=1.0, duration=0.2, substeps=substeps)
+
+    def test_numpy_integer_step_count_accepted(self, psi0):
+        out = ss.apply_impulse(psi0, ImpulsePulse(force=1.0, duration=0.2, substeps=np.int64(4)))
+        expected = ss.apply_impulse(psi0, ImpulsePulse(force=1.0, duration=0.2, substeps=4))
+        np.testing.assert_array_equal(out.amplitudes, expected.amplitudes)
 
     def test_boundary_leak_detected(self):
         # packet parked at the window edge must be refused
