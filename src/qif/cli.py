@@ -57,8 +57,8 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"sweep of {args.t[2]:g} x {args.delta[2]:g} cells exceeds "
                              f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
     ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
-    for t in ts:
-        mzi.BeamSplitterCoeffs(t)
+    # refuses the first t outside [0, 1] (ts[0] when there is none) as a per-t loop would
+    mzi.BeamSplitterCoeffs(ts[np.argmin((0.0 <= ts) & (ts <= 1.0))])
     tt, dd = np.meshgrid(ts, np.linspace(args.delta[0], args.delta[1], int(args.delta[2])),
                          indexing="ij")
     if args.backend == "oracle":
@@ -205,30 +205,41 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The qif parser; for a subcommand's exact name, with that subcommand alone.
-
-    Anything else (no argument, -h, an unknown or abbreviated name) gets the
-    full parser.  A lone subcommand keeps the full choice list as its
-    metavar, so usage and error text are the same either way.
-    """
-    parser = argparse.ArgumentParser(prog="qif", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    alone = command in SUBCOMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(SUBCOMMANDS) if alone else None)
-    for name in (command,) if alone else SUBCOMMANDS:
-        help_text, func, arguments = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+def _add_arguments(parser, name) -> argparse.ArgumentParser:
+    for flag, kwargs in SUBCOMMANDS[name][2]:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=SUBCOMMANDS[name][1], command=name)
     return parser
 
 
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of a subcommand's exact name, "qif <name>"; else the full qif parser.
+
+    The full parser answers everything else (no argument, -h, an unknown or
+    abbreviated name) and, through parse_args, every unrecognized argument.
+    """
+    if command in SUBCOMMANDS:
+        return _add_arguments(argparse.ArgumentParser(prog=f"qif {command}"), command)
+    parser = argparse.ArgumentParser(prog="qif", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace of argv; help, usage and errors are the full parser's text."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, stray = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not stray:
+            return args
+    # the full parser prints stray arguments under its own usage
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # errors in a circuit are reported against its file name
     prefix = getattr(args, "file", "error")
     try:

@@ -193,6 +193,20 @@ class TestSweep:
         assert "transmission" in capsys.readouterr().err
         assert out.read_text() == "earlier results\n"
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.75, -0.75), (2.0, -2.0)])
+    def test_tall_t_axis_names_its_first_bad_t(self, tmp_path, capsys, lo, hi):
+        steps = 2_000_001
+        ts = np.linspace(lo, hi, steps)
+        # the refusal a per-t loop in linspace order meets first
+        first = next(i for i, t in enumerate(ts) if not 0.0 <= t <= 1.0)
+        assert (lo > 1.0) == (first == 0)
+        argv = ["sweep", "--t", str(lo), str(hi), str(steps), "--delta", "0", "1", "2",
+                "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: transmission must lie in [0, 1], got {ts[first]}\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oracle_sweep_ignores_grid_setting(self, tmp_path, capsys):
         plain = self._sweep(tmp_path, "plain.csv")
         # not a power of two: a grid sweep refuses it
@@ -675,14 +689,33 @@ def test_bad_input_refused(tmp_path, capsys, text, argv, fragment):
 
 COMMANDS = ("simulate", "sweep", "oracle-check", "propagate", "feasibility", "bec")
 SWEEP_AXES = ["--t", "0.1", "0.9", "3", "--delta", "0", "1", "3"]
+# argv each subcommand accepts, cheap to run in a temporary directory
+VALID_ARGV = {
+    "simulate": ["simulate", "x.qif"],
+    "sweep": ["sweep", *SWEEP_AXES, "--out", "x.csv"],
+    "oracle-check": ["oracle-check", "--seed", "1", "--samples", "2"],
+    "propagate": ["propagate", "--substeps", "8"],
+    "feasibility": ["feasibility"],
+    "bec": ["bec", "--t", "0.8", "--delta-a", "0", "--delta-b", "1"],
+}
 # argv that the parser itself answers, with help text or a usage error
 PARSER_ARGV = [
     [], ["-h"], *([command, "-h"] for command in COMMANDS),
     ["frobnicate"], ["simul", "x.qif"],                       # unknown, abbreviated
-    ["sweep", *SWEEP_AXES], ["oracle-check"],                 # a required option missing
+    ["sweep", *SWEEP_AXES], ["oracle-check"], ["simulate"],   # a required argument missing
+    ["simulate", "--grid-n"], ["sweep", "--t", "1", "2"],     # too few option values
     ["propagate", "--substeps", "many"],                      # a bad type
     ["sweep", *SWEEP_AXES, "--backend", "fft", "--out", "x.csv"],  # a bad choice
     ["simulate", "x.qif", "--bogus", "1"], ["feasibility", "extra"],  # unrecognized
+]
+# valid argv in the forms argparse accepts, each subcommand's among them
+NAMESPACE_ARGV = [
+    *VALID_ARGV.values(),
+    ["propagate", "--force=2.5", "--tau=0.1"],                # --opt=value
+    ["simulate", "--", "x.qif"],                              # --
+    ["simulate", "--grid", "8", "x.qif"],                     # an abbreviated option
+    ["simulate", "--grid-n", "8", "x.qif"],                   # options before a positional
+    ["bec", "--check-mzi", "--delta-b", "1", "--t", "0.8", "--delta-a", "0"],
 ]
 
 
@@ -696,27 +729,53 @@ def _parser_exit(parse, argv):
 class TestParserText:
     """A call builds the parser for its own subcommand; what it prints is the full parser's."""
 
+    @staticmethod
+    def _prints_what_the_full_parser_prints(argv, monkeypatch):
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            expected = _parser_exit(cli.build_parser().parse_args, argv)
+            assert expected[2] in (0, 2)
+            assert _parser_exit(run, argv) == expected
+
     @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
     def test_main_prints_what_the_full_parser_prints(self, argv, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        expected = _parser_exit(cli.build_parser().parse_args, argv)
-        assert expected[2] in (0, 2)
-        assert _parser_exit(run, argv) == expected
+        self._prints_what_the_full_parser_prints(argv, monkeypatch)
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_lone_subcommand_keeps_the_full_usage(self, command, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+    def test_stray_argument_gets_the_full_usage(self, command, monkeypatch):
+        argv = [*VALID_ARGV[command], "zz"]
+        assert _parser_exit(run, argv)[2] == 2
+        self._prints_what_the_full_parser_prints(argv, monkeypatch)
+
+    @pytest.mark.parametrize("argv", NAMESPACE_ARGV, ids=" ".join)
+    def test_namespace_is_the_full_parsers(self, argv):
+        args = cli.parse_args(argv)
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+        assert (args.command, args.func) == (argv[0], cli.SUBCOMMANDS[argv[0]][1])
 
     def test_lone_subcommand_registers_only_itself(self):
         assert _parser_exit(cli.build_parser("bec").parse_args, ["simulate", "x.qif"])[2] == 2
 
-    def test_each_call_builds_its_own_parser(self, monkeypatch, capsys):
+    def test_each_call_builds_its_own_parser(self, monkeypatch, tmp_path, capsys):
         built, real = [], cli.build_parser
         monkeypatch.setattr(cli, "build_parser",
-                            lambda *command: built.append(real(*command)) or built[-1])
+                            lambda *c: built.append((c, real(*c))) or built[-1][1])
         assert run(["feasibility"]) == run(["feasibility"]) == 0
-        assert len(built) == 2 and built[0] is not built[1]
+        assert len(built) == 2 and built[0][1] is not built[1][1]
+        # a valid call parses once, with its own parser
+        monkeypatch.chdir(tmp_path)
+        for command, argv in VALID_ARGV.items():
+            built.clear()
+            run(argv)
+            assert [c for c, _ in built] == [(command,)]
+            # a stray argument is then reported by the full parser
+            built.clear()
+            assert _parser_exit(run, [*argv, "zz"])[2] == 2
+            assert [c for c, _ in built] == [(command,), ()]
+        for argv in ([], ["-h"], ["frobnicate"]):
+            built.clear()
+            _parser_exit(run, argv)
+            assert [c for c, _ in built] == [()]
 
 
 class TestFuzzSimulate:
