@@ -13,7 +13,7 @@ position space.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,12 +32,18 @@ DEFAULT_P_MAX = 16.0
 WRAP_TOLERANCE = 1e-12
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:  # a shared grid's caches must not change
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform momentum grid with n_points nodes on [p_min, p_max).
 
     n_points must be a power of two so the Fourier pair is a plain FFT.
     The conjugate position grid spans [-pi/dp, pi/dp) with n_points nodes.
+    What a grid caches on first use (p, z, phase factors, kick ramp) is read-only.
     """
 
     n_points: int
@@ -58,7 +64,7 @@ class GridSpec:
 
     @cached_property
     def p(self) -> np.ndarray:
-        return self.p_min + self.dp * np.arange(self.n_points)
+        return _frozen(self.p_min + self.dp * np.arange(self.n_points))
 
     @property
     def dz(self) -> float:
@@ -66,19 +72,19 @@ class GridSpec:
 
     @cached_property
     def z(self) -> np.ndarray:
-        return (np.arange(self.n_points) - self.n_points // 2) * self.dz
+        return _frozen((np.arange(self.n_points) - self.n_points // 2) * self.dz)
 
     @cached_property
     def _signs(self) -> np.ndarray:  # exp(-i pi k)
-        return np.tile((1 + 0j, -1 + 0j), self.n_points // 2)
+        return _frozen(np.tile((1 + 0j, -1 + 0j), self.n_points // 2))
 
     @cached_property
     def _z_factor(self) -> np.ndarray:  # conj(exp(-i x)) is exp(i x) bit for bit
-        return self.dp / np.sqrt(2.0 * np.pi) * np.conj(self._p_ramp)
+        return _frozen(self.dp / np.sqrt(2.0 * np.pi) * np.conj(self._p_ramp))
 
     @cached_property
     def _p_ramp(self) -> np.ndarray:
-        return self._exp_ramp(-1j * self.p_min)
+        return _frozen(self._exp_ramp(-1j * self.p_min))
 
     def _exp_ramp(self, coeff: complex) -> np.ndarray:
         """np.exp(coeff * z) bit for bit, exp taken on n/2 + 1 nodes: z_(n-j) = -z_j exactly
@@ -112,8 +118,7 @@ class GridSpec:
         key = delta, np.copysign(1.0, delta)  # the ramp of -0.0 has other signed zeros
         last = self.__dict__.get("_kick_ramp", (None, None))
         if last[0] != key:
-            last = self.__dict__["_kick_ramp"] = key, self._exp_ramp(1j * delta)
-            last[1].setflags(write=False)
+            last = self.__dict__["_kick_ramp"] = key, _frozen(self._exp_ramp(1j * delta))
         return last[1]
 
     def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -132,9 +137,16 @@ class GridSpec:
         return psi
 
 
+_last_grid = lru_cache(maxsize=1, typed=True)(GridSpec)  # called positionally: keyed on values
+
+
 def default_grid(n_points: int = DEFAULT_N) -> GridSpec:
-    """Grid on [-16, 16) W: the guard admits |delta| < 8 W, the wrap test says which kicks land."""
-    return GridSpec(n_points=n_points, p_min=-DEFAULT_P_MAX, p_max=DEFAULT_P_MAX)
+    """Grid on [-16, 16) W: the guard admits |delta| < 8 W, the wrap test says which kicks land.
+
+    Shared: one grid per size, and the last size's grid keeps its cached arrays (about 80 B a
+    node) until a call asks for another size.
+    """
+    return _last_grid(n_points, -DEFAULT_P_MAX, DEFAULT_P_MAX)
 
 
 @dataclass(frozen=True)

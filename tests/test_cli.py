@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, exit codes, CSV output."""
 
+import functools
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +414,44 @@ class TestObjectsPerCall:
     def test_run_protocol(self, grid, built_amplitudes):
         spinor.run_protocol(0.85, 0.1, 0.3, grid)
         assert 1 <= len(built_amplitudes) <= 2  # the source and the selected state
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "circuits" / "anomalous_kick.qif"
+
+
+class TestSharedGrid:
+    """The process keeps one default grid; calls share it and still act as fresh processes."""
+
+    def test_calls_match_fresh_processes(self, capsys):
+        sequence = [
+            ["simulate", str(REFERENCE)],
+            ["bec", "--t", "0.85", "--delta-a", "0.1", "--delta-b", "0.3", "--check-mzi"],
+            ["propagate", "--grid-n", "512", "--substeps", "8"],  # evicts the 4096 grid
+            ["oracle-check", "--seed", "1", "--samples", "5"],
+            ["simulate", str(REFERENCE)],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        code = "import sys; from qif import cli; sys.exit(cli.main(sys.argv[1:]))"
+        for argv in sequence:
+            exit_code = run(argv)
+            got = (*capsys.readouterr(), exit_code)
+            alone = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert got == (alone.stdout, alone.stderr, alone.returncode), argv
+
+    def test_simulate_calls_share_one_grid(self, monkeypatch, capsys):
+        grids, execute = [], circuitfile.execute
+        monkeypatch.setattr(circuitfile, "execute",
+                            lambda program, grid: grids.append(grid) or execute(program, grid))
+        built, p_ramp = [], wp.GridSpec.__dict__["_p_ramp"].func
+        counted = functools.cached_property(lambda grid: built.append(1) or p_ramp(grid))
+        counted.__set_name__(wp.GridSpec, "_p_ramp")
+        monkeypatch.setattr(wp.GridSpec, "_p_ramp", counted)
+        wp.default_grid(64)  # evicts the 4096 grid, so this test sees it built
+        for _ in range(3):
+            assert run(["simulate", str(REFERENCE)]) == 0
+        assert len(grids) == 3 and grids[0] is grids[1] is grids[2]
+        assert len(built) == 1
 
 
 class TestPropagate:

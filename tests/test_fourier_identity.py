@@ -117,7 +117,7 @@ def test_apply_impulse_substep_counts(phi, substeps):
 
 
 def test_phase_factors_built_lazily_once():
-    grid = wp.default_grid(256)
+    grid = wp.GridSpec(256, -16.0, 16.0)
     gauss = wp.gaussian_init(GaussianParams(), grid)
     cached = ("_signs", "_z_factor", "_p_ramp")
     assert not any(name in vars(grid) for name in cached)
@@ -151,7 +151,7 @@ def test_ramps_are_the_plain_exp(n, window):
 
 def test_first_shift_evaluates_exp_on_half_the_grid(monkeypatch):
     """A structural guard: the p ramp and the kick ramp each take exp on n/2 + 1 nodes."""
-    grid = wp.default_grid(256)
+    grid = wp.GridSpec(256, -16.0, 16.0)
     gauss = wp.gaussian_init(GaussianParams(), grid)
     evaluated, exp = [], np.exp
 

@@ -41,6 +41,26 @@ class TestGridSpec:
             GridSpec(8, 1.0, 1.0)
 
 
+CACHED_ARRAYS = ("p", "z", "_signs", "_p_ramp", "_z_factor")
+
+
+class TestDefaultGrid:
+    def test_shared_grid_is_read_only_and_rebuilt_exactly(self):
+        """One grid per process is safe only if no caller can change what the next one reads."""
+        grid = wp.default_grid(1024)
+        assert wp.default_grid(1024) is wp.default_grid(n_points=1024) is grid
+        for array in [getattr(grid, name) for name in CACHED_ARRAYS] + [grid.kick_ramp(0.3)]:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        wp.default_grid(256)  # evicts the last grid: only one is kept
+        rebuilt, fresh = wp.default_grid(), GridSpec(4096, -16.0, 16.0)
+        assert wp.default_grid(4096) is wp.default_grid(n_points=4096) is rebuilt
+        for name in CACHED_ARRAYS:
+            assert getattr(rebuilt, name).tobytes() == getattr(fresh, name).tobytes(), name
+        with pytest.raises(TypeError):  # an untyped cache would find the 4096 grid under 4096.0
+            wp.default_grid(n_points=4096.0)
+
+
 class TestGaussianInit:
     def test_peak_value(self, grid):
         # Phi(0) = pi^(-1/4) for W=1, mu=0
