@@ -12,7 +12,12 @@ Exit codes: 0 success, 2 circuit parse error, 3 runtime error.
 """
 
 import argparse
+import os
 import sys
+
+# qif's one BLAS call, np.vdot in the wrap test, runs single-threaded up to n = 10,000 anyway,
+# so no OpenBLAS worker need start and spin through the numpy import; a user's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

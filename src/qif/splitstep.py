@@ -26,7 +26,7 @@ from .wavepacket import MomentumWavefunction, PositionWavefunction
 #: leakage check.
 _EDGE_FRACTION = 0.05
 _LEAK_TOLERANCE = 1e-6
-#: Most substeps a pulse takes: at about 0.2 ms each on a 4096-point grid, 10^6 are minutes.
+#: Most substeps a pulse takes: at 0.1-0.2 ms each on a 4096-point grid, 10^6 are minutes.
 MAX_SUBSTEPS = 10 ** 6
 
 

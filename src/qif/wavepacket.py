@@ -111,7 +111,13 @@ class GridSpec:
 
     def z_to_p(self, psi: np.ndarray) -> np.ndarray:
         """Inverse of p_to_z."""
-        return np.fft.fft(psi * self._p_ramp) * self._signs * self._p_scale
+        return self._ramped_z_to_p(psi * self._p_ramp)
+
+    def _ramped_z_to_p(self, chi: np.ndarray) -> np.ndarray:  # z_to_p(chi / _p_ramp), in chi
+        np.fft.fft(chi, out=chi)
+        chi *= self._signs
+        chi *= self._p_scale
+        return chi
 
     def kick_ramp(self, delta: float) -> np.ndarray:
         """exp(i delta z), read-only.  Only the last delta's ramp is kept, never one per delta."""
@@ -122,19 +128,20 @@ class GridSpec:
         return last[1]
 
     def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """p_to_z(z_to_p(psi) * phase), overwriting psi.
+        """p_to_z(z_to_p(psi) * phase), computed in psi, which it returns.
 
         The exact (-1)^k that z_to_p ends and p_to_z starts with are left out.
         """
-        phi = np.fft.fft(np.multiply(psi, self._p_ramp, out=psi))
-        phi *= self._p_scale
-        phi *= phase
-        return self._unsigned_p_to_z(phi)
+        psi *= self._p_ramp
+        np.fft.fft(psi, out=psi)
+        psi *= self._p_scale
+        psi *= phase
+        return self._unsigned_p_to_z(psi)
 
-    def _unsigned_p_to_z(self, chi: np.ndarray) -> np.ndarray:  # p_to_z(chi * (-1)^k)
-        psi = np.fft.ifft(chi, norm="forward")  # n * ifft(chi), exact as n = 2^m
-        psi *= self._z_factor
-        return psi
+    def _unsigned_p_to_z(self, chi: np.ndarray) -> np.ndarray:  # p_to_z(chi * (-1)^k), in chi
+        np.fft.ifft(chi, norm="forward", out=chi)  # n * ifft(chi), exact as n = 2^m
+        chi *= self._z_factor
+        return chi
 
 
 _last_grid = lru_cache(maxsize=1, typed=True)(GridSpec)  # called positionally: keyed on values
@@ -271,7 +278,10 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarra
     if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
         raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
                             "past the grid edge")
-    return grid.z_to_p(grid.p_to_z(amp) * grid.kick_ramp(delta))
+    psi = grid.p_to_z(amp)  # the kick's one new array: every later step works in it
+    psi *= grid.kick_ramp(delta)
+    psi *= grid._p_ramp
+    return grid._ramped_z_to_p(psi)
 
 
 def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:

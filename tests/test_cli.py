@@ -454,6 +454,24 @@ class TestSharedGrid:
         assert len(built) == 1
 
 
+class TestImport:
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_no_openblas_worker_unless_asked(self, preset):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, sys, qif.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+                "print(open('/proc/self/status').read().split('Threads:')[1].split()[0] "
+                "if sys.platform.startswith('linux') else 1)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        value, threads = done.stdout.split()
+        assert value == (preset or "1")
+        if preset is None:
+            assert threads == "1"
+
+
 class TestPropagate:
     def test_quasi_impulsive(self, capsys):
         assert run(["propagate", "--force", "1", "--tau", "0.2",
