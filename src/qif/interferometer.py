@@ -42,21 +42,21 @@ class BeamSplitterCoeffs:
 
     t: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
+    def __post_init__(self):  # t may be a column of cells, one per row of a stack
+        if not wp.all_cells((0.0 <= self.t) & (self.t <= 1.0)):
             raise ParameterError(f"transmission must lie in [0, 1], got {self.t}")
 
     @property
     def r(self) -> float:
-        return float(np.sqrt(1.0 - self.t * self.t))
+        return np.sqrt(1.0 - self.t * self.t)
 
 
 @dataclass(frozen=True)
 class TwoPathState:
     """Momentum amplitudes of modes A and B on one grid.
 
-    The modes are interferometer arms or internal atomic states.  States
-    may share arrays: no operation writes one in place.
+    The modes are interferometer arms or internal atomic states, each a row or a
+    stack of rows.  States may share arrays: only an out array is written in place.
     """
 
     grid: wp.GridSpec
@@ -91,10 +91,11 @@ class PortStats(NamedTuple):
     mean_d: float
 
 
-def split(input_wf: MomentumWavefunction, bs: BeamSplitterCoeffs) -> TwoPathState:
-    """First beam splitter: arm A gets t*Phi, arm B gets i*r*Phi."""
-    amp = input_wf.amplitudes
-    return TwoPathState(input_wf.grid, bs.t * amp, 1j * bs.r * amp)
+def split(input_wf: MomentumWavefunction, bs: BeamSplitterCoeffs, out=(None, None)):
+    """First beam splitter into out: arm A gets t*Phi, arm B gets i*r*Phi, a row per t."""
+    amp, t = input_wf.amplitudes, np.asarray(bs.t, complex)  # a real column would be buffered
+    return TwoPathState(input_wf.grid, np.multiply(t, amp, out=out[0]),
+                        np.multiply(1j * bs.r, amp, out=out[1]))
 
 
 def _mode_field(mode: str) -> str:
@@ -103,18 +104,20 @@ def _mode_field(mode: str) -> str:
     return _MODE_FIELDS[mode]
 
 
-def kick(state: TwoPathState, mode: str, delta: float) -> TwoPathState:
-    """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta)."""
+def kick(state: TwoPathState, mode: str, delta, out=None) -> TwoPathState:
+    """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given."""
     name = _mode_field(mode)
-    return replace(state, **{name: wp.shift_amplitudes(state.grid, getattr(state, name), delta)})
+    amp = wp.shift_amplitudes(state.grid, getattr(state, name), delta, out)
+    return replace(state, **{name: amp})
 
 
-def phase(state: TwoPathState, mode: str, alpha: float) -> TwoPathState:
-    """Multiply one mode by e^(i alpha); alpha must be finite."""
+def phase(state: TwoPathState, mode: str, alpha, out=None) -> TwoPathState:
+    """Multiply one mode by e^(i alpha), into out if given; alpha must be finite."""
     name = _mode_field(mode)
-    if not np.isfinite(alpha):  # refused before numpy builds e^(i alpha) and warns
+    if not wp.all_cells(np.isfinite(alpha)):  # refused before numpy builds e^(i alpha) and warns
         raise ParameterError(f"phase alpha must be finite, got {alpha}")
-    return replace(state, **{name: np.exp(1j * alpha) * getattr(state, name)})
+    e = np.exp(1j * alpha)  # stays on the left: x *= e computes x * e, which can round apart
+    return replace(state, **{name: np.multiply(e, getattr(state, name), out=out)})
 
 
 def select(state: TwoPathState, mode: str) -> PortOutcome:
@@ -122,12 +125,12 @@ def select(state: TwoPathState, mode: str) -> PortOutcome:
     return port_stats(state.grid, getattr(state, _mode_field(mode)), mode)
 
 
-def apply_kick(state: TwoPathState, delta: float, alpha: float = 0.0) -> TwoPathState:
-    """Impulsive kick in arm B: shift by delta and multiply by e^(i alpha)."""
-    return phase(kick(state, "B", delta), "B", alpha)
+def apply_kick(state: TwoPathState, delta, alpha=0.0, out=None) -> TwoPathState:
+    """Impulsive kick in arm B: shift by delta and multiply by e^(i alpha), into out if given."""
+    return phase(kick(state, "B", delta, out), "B", alpha, out)
 
 
-def recombine(state: TwoPathState):
+def recombine(state: TwoPathState, out=(None, None, None)):
     """Second (balanced) beam splitter.
 
     Returns the raw, unnormalized port amplitudes
@@ -135,17 +138,21 @@ def recombine(state: TwoPathState):
     which for a state prepared by split + apply_kick reduce to
         raw_c = (t Phi(p) - r e^(i alpha) Phi(p - delta)) / sqrt(2)
     and the + counterpart at port D.  Pointwise unitary, so the two port
-    norms add up to the total input norm.
+    norms add up to the total input norm.  out names arrays for i b, a + i b and
+    a - i b, and the ports go to its first two: (path_b, free, path_a) works in place.
     """
-    a, ib = state.path_a, 1j * state.path_b
-    return _divide(a + ib, _SQRT2), _divide(a - ib, _SQRT2)
+    a, ib = state.path_a, np.multiply(1j, state.path_b, out=out[0])
+    plus, minus = np.add(a, ib, out=out[1]), np.subtract(a, ib, out=out[2])
+    return _divide(plus, _SQRT2, out[0]), _divide(minus, _SQRT2, out[1])
 
 
-def _divide(z, s):
+def _divide(z, s, out=None):
     """Complex z / real s bit for bit, by a multiply where that agrees: numpy divides as
-    (re + im 0, im - re 0) (1/s), which z (1/s) misses only in the sign of a zero."""
-    out = z * (1.0 / s)
-    return out if out.view(np.float64).all() else z / s
+    (re + im 0, im - re 0) (1/s), which the parts of z times 1/s miss only in the sign of
+    a zero.  out, if given, must not be z."""
+    parts = np.multiply(z.view(np.float64), 1.0 / s,
+                        out=None if out is None else out.view(np.float64))
+    return parts.view(complex) if parts.all() else np.divide(z, s, out=parts.view(complex))
 
 
 def exit_ports(state: TwoPathState):
@@ -157,16 +164,23 @@ def exit_ports(state: TwoPathState):
 def port_stats(grid: wp.GridSpec, raw: np.ndarray, port: str) -> PortOutcome:
     """Probability, normalized wavefunction and conditional mean of port amplitudes raw."""
     prob, mean, amp = port_moments(grid, raw)
-    return PortOutcome(port, prob, MomentumWavefunction(grid, amp), mean)
+    return PortOutcome(port, float(prob), MomentumWavefunction(grid, amp), float(mean))
 
 
-def port_moments(grid: wp.GridSpec, raw: np.ndarray):
-    """P, <p> and the normalized amplitudes of one port; a dark port keeps raw, <p> nan."""
-    prob = float(np.sum(np.abs(raw) ** 2) * grid.dp)  # norm, as wavepacket.norm sums it
-    if prob < DARK_THRESHOLD:
-        return prob, np.nan, raw
-    normalized = _divide(raw, np.sqrt(prob))
-    return prob, wp.first_moment(grid, normalized), normalized
+def port_moments(grid: wp.GridSpec, raw: np.ndarray, out=(None, None)):
+    """P, <p> (nan where dark) and the normalized amplitudes (raw if a row is dark) of each
+    row of raw; out takes the amplitudes and |raw|^2."""
+    square = np.abs(raw, out=out[1])
+    square **= 2
+    prob = np.sum(square, axis=-1) * grid.dp  # norm, as wavepacket.norm sums it
+    bright = prob >= DARK_THRESHOLD
+    if not wp.all_cells(bright):
+        mean = np.where(bright, 0.0, np.nan)
+        if bright.any():  # a stack's bright rows, on their own
+            mean[bright] = port_moments(grid, raw[bright])[1]
+        return prob, mean, raw
+    normalized = _divide(raw, np.sqrt(prob)[..., None], out[0])
+    return prob, wp.first_moment(grid, normalized, square), normalized
 
 
 def conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0):
@@ -206,25 +220,47 @@ def run_mzi(input_wf: MomentumWavefunction, t: float, delta: float, alpha: float
     return exit_ports(apply_kick(split(input_wf, BeamSplitterCoeffs(t)), delta, alpha))
 
 
+#: Bytes of one stack array in stats_grid: 6 rows at n = 4096, one row from n = 16384 on.
+STACK_BYTES = 6 * 4096 * 16
+
+
 def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats:
     """run_mzi's P and <p> at each cell of broadcast t, delta, alpha, as analytic.stats_grid.
 
-    Cells run in stable delta order, so one kick ramp serves a delta column;
-    a refusal is the one a t-major run_mzi loop meets first.
+    Cells run in stacks of rows, in stable delta order so one kick ramp serves a delta
+    column.  A step is one ufunc or FFT call a stack, with run_mzi's operands in its
+    order, so each row rounds as its cell; numpy's FFT of a stack costs about 30% less
+    a row at n = 4096.  Two traps: numpy's AVX-512 complex multiply is not operand-
+    symmetric, and x *= e computes x * e, so phase keeps e on the left; and a stack
+    array is past glibc's 128 KiB mmap threshold, so the work arrays are made once a
+    call (made per stack, they cost 30 times the page faults and ran 11% slower).
+    A stack that refuses runs again cell by cell, to name the refusal a t-major
+    run_mzi loop meets first.
     """
     grid = input_wf.grid
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
-    stats, refused = np.empty((4, t.size)), None
-    for i in np.argsort(delta, axis=None, kind="stable").tolist():
-        if refused is not None and i > refused[0]:
-            continue
+    stats, refused = np.empty((4, t.size)), (t.size, None)
+    height = max(1, min(t.size, STACK_BYTES // (16 * grid.n_points)))
+    arm_a, arm_b, work = np.empty((3, height, grid.n_points), dtype=complex)
+    square = np.empty((height, grid.n_points))
+    order = np.argsort(delta, axis=None, kind="stable")
+    for cells in np.split(order, range(height, t.size, height)):
+        cells = cells[cells < refused[0]]
+        a, b, w, sq = (x[:cells.size] for x in (arm_a, arm_b, work, square))
+        tk, dk, ak = (x.flat[cells][:, None] for x in (t, delta, alpha))
         try:
-            state = apply_kick(split(input_wf, BeamSplitterCoeffs(t.flat[i])),
-                               delta.flat[i], alpha.flat[i])
-        except QifError as exc:
-            refused = i, exc
-            continue
-        stats[:, i] = [m for raw in recombine(state) for m in port_moments(grid, raw)[:2]]
-    if refused is not None:
+            state = apply_kick(split(input_wf, BeamSplitterCoeffs(tk), (a, b)), dk, ak, b)
+            for port, raw in enumerate(recombine(state, (b, w, a))):
+                stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
+        except QifError:
+            for i in np.sort(cells).tolist():
+                try:
+                    run_mzi(input_wf, t.flat[i], delta.flat[i], alpha.flat[i])
+                except QifError as exc:
+                    refused = i, exc
+                    break
+            else:
+                raise
+    if refused[1] is not None:
         raise refused[1]
     return PortStats(*stats.reshape((4,) + t.shape))

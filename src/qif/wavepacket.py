@@ -37,6 +37,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:  # a shared grid's caches must not
     return array
 
 
+def all_cells(cond) -> bool:
+    """cond.all() over a stack's cells, bool(cond) for one cell, whose numpy .all() is slow."""
+    return bool(cond.all() if isinstance(cond, np.ndarray) else cond)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform momentum grid with n_points nodes on [p_min, p_max).
@@ -102,12 +107,12 @@ class GridSpec:
     def _p_scale(self) -> float:
         return self.dz / np.sqrt(2.0 * np.pi)
 
-    def p_to_z(self, phi: np.ndarray) -> np.ndarray:
-        """psi(z_j) = dp / sqrt(2 pi) * sum_k phi(p_k) exp(i p_k z_j), by one FFT.
+    def p_to_z(self, phi: np.ndarray, out=None) -> np.ndarray:
+        """psi(z_j) = dp / sqrt(2 pi) * sum_k phi(p_k) exp(i p_k z_j), by one FFT per row.
 
-        The cached signs and phases carry the grid offsets; z_to_p inverts it.
+        The cached signs and phases carry the grid offsets; z_to_p inverts it.  out may be phi.
         """
-        return self._unsigned_p_to_z(phi * self._signs)
+        return self._unsigned_p_to_z(np.multiply(phi, self._signs, out=out))
 
     def z_to_p(self, psi: np.ndarray) -> np.ndarray:
         """Inverse of p_to_z."""
@@ -222,16 +227,17 @@ def norm(wf) -> float:
 
 def mean_momentum(wf: MomentumWavefunction) -> float:
     """Normalized first moment of |Phi(p)|^2. Raises on dark states."""
-    return first_moment(wf.grid, wf.amplitudes)
+    return float(first_moment(wf.grid, wf.amplitudes))
 
 
-def first_moment(grid: GridSpec, amp: np.ndarray) -> float:
-    """mean_momentum of the amplitudes amp on grid, with |amp|^2 taken once."""
-    prob = np.abs(amp) ** 2
-    n = float(np.sum(prob) * grid.dp)
-    if n < DARK_THRESHOLD:
+def first_moment(grid: GridSpec, amp: np.ndarray, out=None):
+    """mean_momentum of each row of the amplitudes amp on grid, with |amp|^2 taken once, in out."""
+    prob = np.abs(amp, out=out)
+    prob **= 2
+    n = np.sum(prob, axis=-1) * grid.dp
+    if not all_cells(n >= DARK_THRESHOLD):
         raise ZeroNormError(f"norm {n} below dark-port threshold")
-    return float(np.sum(grid.p * prob) * grid.dp / n)
+    return np.sum(np.multiply(grid.p, prob, out=prob), axis=-1) * grid.dp / n
 
 
 def to_position(wf: MomentumWavefunction) -> PositionWavefunction:
@@ -252,13 +258,13 @@ def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
     and the benchmark's aliasing probes (kicks of 8-9.5 W) require exit 3.
     """
     span = grid.p_max - grid.p_min
-    if np.isnan(delta):  # fails closed: nan compares false with any guard
+    if not all_cells(~np.isnan(delta)):  # fails closed: nan compares false with any guard
         raise ParameterError(f"kick delta must be finite, got {delta}")
-    if abs(delta) >= span / 4:
+    if not all_cells(abs(delta) < span / 4):
         raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")
 
 
-def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarray:
+def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.ndarray:
     """The amplitudes amp(p - delta): a rigid momentum displacement on grid.
 
     Realized as the phase ramp exp(i delta z) in position space, which is
@@ -266,22 +272,31 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta: float) -> np.ndarra
     against wrap-around: |delta| must stay below a quarter of the grid span,
     and no more than WRAP_TOLERANCE of the norm may be moved past an edge
     unless the state is dark (rounding noise below DARK_THRESHOLD).  A shift
-    by 0 returns amp itself.
+    by 0 returns amp itself, and a stack's row its row.  A stack of rows takes a
+    column delta, a kick per row; out (which may be amp) takes the result.
     """
     check_aliasing_guard(grid, delta)
-    if delta == 0.0:
+    deltas = np.ravel(delta).tolist()
+    if not any(deltas):  # every kick is 0
         return amp
-    # p + delta is sorted, so the nodes that land outside are a prefix and a suffix
-    lo, hi = np.searchsorted(grid.p + delta, (grid.p_min, grid.p_max))
-    wrapped = np.vdot(amp[:lo], amp[:lo]).real + np.vdot(amp[hi:], amp[hi:]).real
-    total = np.vdot(amp, amp).real
-    if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
-        raise AliasingError(f"delta={delta} moves {wrapped / total:.3g} of the norm "
-                            "past the grid edge")
-    psi = grid.p_to_z(amp)  # the kick's one new array: every later step works in it
-    psi *= grid.kick_ramp(delta)
+    rows = amp if amp.ndim == 2 else (amp,)
+    for row, d in zip(rows, deltas):
+        # p + d is sorted, so the nodes that land outside are a prefix and a suffix
+        lo, hi = np.searchsorted(grid.p + d, (grid.p_min, grid.p_max))
+        wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
+        total = np.vdot(row, row).real
+        if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
+            raise AliasingError(f"delta={d} moves {wrapped / total:.3g} of the norm "
+                                "past the grid edge")
+    kept = [(i, rows[i].copy()) for i, d in enumerate(deltas) if d == 0.0]
+    psi = grid.p_to_z(amp, out)  # the kick's one new array unless out: later steps work in it
+    for row, d in zip(psi if psi.ndim == 2 else (psi,), deltas):
+        row *= grid.kick_ramp(d)
     psi *= grid._p_ramp
-    return grid._ramped_z_to_p(psi)
+    psi = grid._ramped_z_to_p(psi)
+    for i, row in kept:
+        psi[i] = row
+    return psi
 
 
 def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:

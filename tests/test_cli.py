@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -367,6 +368,101 @@ class TestGridStats:
             counts.append(len(built_amplitudes))
         assert counts[0] >= 1  # the counter sees the one Gaussian
         assert counts[0] == counts[1]
+
+    @staticmethod
+    def height(grid):
+        """The rows of one stack of cells on grid."""
+        return max(1, mzi.STACK_BYTES // (16 * grid.n_points))
+
+    def test_short_last_stack(self):
+        rows = self.height(wp.default_grid())
+        samples = np.random.default_rng(5).uniform((0.05, -2.0, 0.0), (0.95, 2.0, 6.0),
+                                                   size=(2 * rows + 3, 3))
+        self.assert_same_bytes(*samples.T)
+
+    def test_one_stack_mixes_signed_zero_and_nonzero_kicks(self):
+        t = np.array([0.3, 0.5, 0.9, 0.2, 1.0, 0.7])
+        delta = np.array([0.4, -0.0, -1.2, 0.0, 0.0, -0.0])
+        alpha = np.array([0.0, 1.3, -0.0, 2.0, 0.5, -0.7])
+        assert delta.size <= self.height(wp.default_grid())
+        self.assert_same_bytes(t, delta, alpha)
+
+    def test_stack_where_only_some_rows_are_dark_or_need_the_division(self, monkeypatch):
+        # a kick of 0 leaves a row real, so a + i b has zero imaginary parts, whose sign
+        # the multiply in _divide can miss: only those rows need numpy's division
+        t = np.array([T_DARK, 0.4, T_DARK, 0.8, 0.6])
+        delta = np.array([0.0, 0.0, 0.5, 1.1, -0.0])
+        divided, divide = [], mzi._divide
+
+        def counting(z, s, out=None):
+            if z.ndim == 2:
+                misses = ~(z.view(np.float64) * (1.0 / s)).all(axis=-1)
+                divided.append((int(misses.sum()), len(z)))
+            return divide(z, s, out)
+
+        monkeypatch.setattr(mzi, "_divide", counting)
+        got = self.assert_same_bytes(t, delta, 0.0)
+        assert (3, 5) in divided  # recombine's stack: the three rows kicked by 0
+        assert np.isnan(got.mean_c).tolist() == [True, False, False, False, False]
+        assert not np.isnan(got.mean_d).any()
+
+    @pytest.mark.parametrize("n_points", [2 ** 15, 256], ids=["one_row", "many_rows"])
+    def test_grids_of_one_row_and_of_many_rows_per_stack(self, n_points):
+        grid = wp.GridSpec(n_points, -16.0, 16.0)
+        rows = self.height(grid)
+        assert rows == 1 if n_points == 2 ** 15 else rows >= 32
+        samples = np.random.default_rng(n_points).uniform((0.05, -2.0, 0.0), (0.95, 2.0, 6.0),
+                                                          size=(rows + 2, 3))
+        self.assert_same_bytes(*samples.T, grid=grid)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_surface(self, shape):
+        got = self.assert_same_bytes(np.full(shape, 0.5), np.zeros(shape), 0.0)
+        assert isinstance(got, mzi.PortStats)
+        assert all(column.shape == shape for column in got)
+
+    # three cells in one stack of the narrow grid: cells 0 and 2 refuse, and cell 0,
+    # the first in t-major order, is the later one in delta order
+    @pytest.mark.parametrize("t, delta, alpha, message", [
+        ((0.6, 0.6, 0.7), (3.95, 0.1, 3.9), 0.0, "delta=3.95 moves"),
+        ((1.5, 0.5, -0.5), (0.5, 0.2, 0.1), 0.0, "got 1.5"),
+        (0.5, (0.5, 0.2, 0.1), (np.nan, 0.0, np.inf), "got nan"),
+    ], ids=["wrap", "t_range", "alpha"])
+    def test_in_stack_refusal_names_the_first_cell_in_t_major_order(self, t, delta, alpha,
+                                                                     message):
+        grid = wp.GridSpec(256, -8.0, 8.0)
+        assert self.height(grid) >= 3
+        t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
+        with pytest.raises(QifError) as expected:
+            run_mzi_loop(t, delta, alpha, grid)
+        with pytest.raises(QifError) as got:
+            grid_stats(t, delta, alpha, grid)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert message in str(got.value)
+
+    def test_stack_arrays_are_bounded_and_do_not_outlive_the_call(self):
+        grid = wp.default_grid(4096)
+        gauss = wp.gaussian_init(wp.GaussianParams(), grid)
+        samples = np.random.default_rng(11).uniform((0.05, 0.0, 0.0), (0.95, 2.0, 2.0 * np.pi),
+                                                    size=(80, 3))
+        mzi.stats_grid(gauss, *samples.T)  # the FFT plans and grid caches are built here
+        cached = set(grid.__dict__)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mzi.stats_grid(gauss, *samples.T)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = 16 * grid.n_points
+        # the work arrays (three complex and one real, 1.38 MB) and a few rows in passing
+        assert mzi.STACK_BYTES <= peak - before < 2_000_000
+        assert after - before < 2 * row  # the last kick ramp, which replaced another
+        assert set(grid.__dict__) == cached
+        arrays = [v for v in grid.__dict__.values() if isinstance(v, np.ndarray)]
+        arrays.append(grid.__dict__["_kick_ramp"][1])
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def written_cell(gauss, t, delta, alpha):
