@@ -7,12 +7,16 @@ Subcommands:
     propagate    split-step impulsive-kick demo
     feasibility  SI-unit electron-scenario report
     bec          internal-state protocol run
+    batch        run one of the commands above per line of a file
 
 Exit codes: 0 success, 2 circuit parse error, 3 runtime error.
 """
 
 import argparse
+import contextlib
+import functools
 import os
+import shlex
 import sys
 
 # qif's one BLAS call, np.vdot in the wrap test, runs single-threaded up to n = 10,000 anyway,
@@ -172,6 +176,27 @@ def cmd_bec(args) -> int:
     return EXIT_OK
 
 
+def cmd_batch(args) -> int:
+    worst = EXIT_OK
+    with (contextlib.nullcontext(sys.stdin) if args.file == "-"
+          else open(args.file, encoding="utf-8")) as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                argv = [] if line.lstrip().startswith("#") else shlex.split(line)
+                if argv[:1] == ["batch"]:
+                    raise ValueError("a batch cannot run batch")
+            except ValueError as exc:  # or shlex's: an unbalanced quote, a trailing backslash
+                print(f"{args.file}: line {number}: {exc}", file=sys.stderr)
+                worst = max(worst, EXIT_PARSE)
+                continue
+            try:
+                worst = max(worst, main(argv) if argv else EXIT_OK)
+            except SystemExit as exc:  # argparse's help or usage error ends only its line
+                worst = max(worst, exc.code)
+            sys.stdout.flush()  # as a process's exit does: a later line's stderr comes after
+    return worst
+
+
 _GRID_N = ("--grid-n", dict(type=int, default=wp.DEFAULT_N))
 #: Each subcommand's help, handler and arguments, in the order --help lists them.
 SUBCOMMANDS = {
@@ -207,6 +232,9 @@ SUBCOMMANDS = {
         ("--check-mzi", dict(action="store_true",
                              help="also compare against the spatial-interferometer run")),
         _GRID_N)),
+    "batch": ("one qif command per line of a file", cmd_batch, (
+        ("file", dict(help="one argv per line in shell quoting, '-' for stdin; blank and # lines "
+                      "are skipped. Lines share the grid of the last --grid-n only.")),)),
 }
 
 
@@ -222,8 +250,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     The full parser answers everything else (no argument, -h, an unknown or
     abbreviated name) and, through parse_args, every unrecognized argument.
+    Each parser is built once per process and shared, with its defaults (func
+    among them) fixed when it is built: do not modify it.
     """
-    if command in SUBCOMMANDS:
+    return _build_parser(command if command in SUBCOMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)  # keyed on a subcommand's name or None: at most one each
+def _build_parser(command) -> argparse.ArgumentParser:
+    if command is not None:
         return _add_arguments(argparse.ArgumentParser(prog=f"qif {command}"), command)
     parser = argparse.ArgumentParser(prog="qif", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -149,10 +149,14 @@ def recombine(state: TwoPathState, out=(None, None, None)):
 def _divide(z, s, out=None):
     """Complex z / real s bit for bit, by a multiply where that agrees: numpy divides as
     (re + im 0, im - re 0) (1/s), which the parts of z times 1/s miss only in the sign of
-    a zero.  out, if given, must not be z."""
+    a zero, so only the elements with a zero part take numpy's division.  out must not be z."""
     parts = np.multiply(z.view(np.float64), 1.0 / s,
                         out=None if out is None else out.view(np.float64))
-    return parts.view(complex) if parts.all() else np.divide(z, s, out=parts.view(complex))
+    quotient = parts.view(complex)
+    if not parts.all():
+        i = np.unravel_index(np.flatnonzero(parts == 0) // 2, z.shape)
+        quotient[i] = z[i] / np.broadcast_to(s, z.shape)[i]
+    return quotient
 
 
 def exit_ports(state: TwoPathState):

@@ -3,6 +3,7 @@
 import functools
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -515,23 +516,39 @@ class TestObjectsPerCall:
 REFERENCE = Path(__file__).resolve().parent.parent / "circuits" / "anomalous_kick.qif"
 
 
+def fresh_env():
+    """The environment of a fresh `qif` process: this one's, with qif on its path."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 class TestSharedGrid:
     """The process keeps one default grid; calls share it and still act as fresh processes."""
 
-    def test_calls_match_fresh_processes(self, capsys):
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch):
+        """Shared grids and shared parsers: each call prints what a fresh process prints."""
         sequence = [
             ["simulate", str(REFERENCE)],
             ["bec", "--t", "0.85", "--delta-a", "0.1", "--delta-b", "0.3", "--check-mzi"],
             ["propagate", "--grid-n", "512", "--substeps", "8"],  # evicts the 4096 grid
             ["oracle-check", "--seed", "1", "--samples", "5"],
             ["simulate", str(REFERENCE)],
+            ["propagate", "--substeps", "many"],  # a usage error, then a valid call
+            ["propagate", "--substeps", "8"],
+            ("40", "simulate", "-h"),  # help at two widths from one parser
+            ("200", "simulate", "-h"),
+            ["feasibility", "zz"],  # the full parser's usage error, then a valid call
+            ["feasibility"],
         ]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         code = "import sys; from qif import cli; sys.exit(cli.main(sys.argv[1:]))"
         for argv in sequence:
-            exit_code = run(argv)
+            columns, argv = (argv[0], list(argv[1:])) if isinstance(argv, tuple) else ("80", argv)
+            monkeypatch.setenv("COLUMNS", columns)
+            try:
+                exit_code = run(argv)
+            except SystemExit as exc:
+                exit_code = exc.code
             got = (*capsys.readouterr(), exit_code)
-            alone = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+            alone = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
                                    capture_output=True, text=True, timeout=120)
             assert got == (alone.stdout, alone.stderr, alone.returncode), argv
 
@@ -912,19 +929,20 @@ class TestParserText:
     def test_lone_subcommand_registers_only_itself(self):
         assert _parser_exit(cli.build_parser("bec").parse_args, ["simulate", "x.qif"])[2] == 2
 
-    def test_each_call_builds_its_own_parser(self, monkeypatch, tmp_path, capsys):
+    def test_each_process_builds_each_parser_once(self, monkeypatch, tmp_path, capsys):
         built, real = [], cli.build_parser
         monkeypatch.setattr(cli, "build_parser",
                             lambda *c: built.append((c, real(*c))) or built[-1][1])
         assert run(["feasibility"]) == run(["feasibility"]) == 0
-        assert len(built) == 2 and built[0][1] is not built[1][1]
-        # a valid call parses once, with its own parser
+        assert len(built) == 2 and built[0][1] is built[1][1]
+        # a valid call still asks for a parser once, with its own name
         monkeypatch.chdir(tmp_path)
-        for command, argv in VALID_ARGV.items():
+        (tmp_path / "one.batch").write_text("feasibility\n")
+        for command, argv in [*VALID_ARGV.items(), ("batch", ["batch", "one.batch"])]:
             built.clear()
             run(argv)
-            assert [c for c, _ in built] == [(command,)]
-            # a stray argument is then reported by the full parser
+            assert [c for c, _ in built] == [(command,)] + [("feasibility",)] * (command == "batch")
+            # a stray argument then asks for the full parser
             built.clear()
             assert _parser_exit(run, [*argv, "zz"])[2] == 2
             assert [c for c, _ in built] == [(command,), ()]
@@ -932,6 +950,98 @@ class TestParserText:
             built.clear()
             _parser_exit(run, argv)
             assert [c for c, _ in built] == [()]
+        # an unknown or abbreviated name is the full parser's, so it adds no parser
+        cached = cli._build_parser.cache_info().currsize
+        for i in range(50):
+            assert real(f"unknown-{i}") is real("simul") is real() is real(None)
+        assert cli._build_parser.cache_info().currsize == cached <= len(cli.SUBCOMMANDS) + 1
+
+
+EXAMPLES = REFERENCE.with_name("examples.batch")
+
+
+class TestBatch:
+    """`qif batch` runs each line through cli.main in one process, as fresh processes would."""
+
+    MORE = [  # beyond the committed example
+        "sweep --t 0.2 0.8 3 --delta 0 1 2 --backend grid --out 'grid scan.csv'",
+        "simulate circuits/anomalous_kick.qif --grid-n 2048",  # another grid size
+        "   # an indented comment",
+        "simulate broken.qif",  # a .qif parse error: 2
+        "propagate --substeps 0",  # a refusal: 3
+        "sweep --t 0.1 0.9 3",  # a usage error: 2
+        "bec -h",
+        "",
+        "feasibility",
+    ]
+
+    def test_batch_prints_what_fresh_processes_print(self, tmp_path):
+        lines = [*EXAMPLES.read_text().splitlines(), *self.MORE]
+        text = "\n".join(lines) + "\n"
+        dirs = {side: tmp_path / side for side in ("fresh", "file", "stdin")}
+        for cwd in dirs.values():
+            (cwd / "circuits").mkdir(parents=True)
+            (cwd / "circuits" / REFERENCE.name).write_bytes(REFERENCE.read_bytes())
+            (cwd / "broken.qif").write_text("source width=1 mean=0\nbs t=2\n")
+        (dirs["file"] / "all.batch").write_text(text)
+        env, qif = {**fresh_env(), "COLUMNS": "80"}, [sys.executable, "-m", "qif.cli"]
+
+        def run_in(side, argv, stdin=None):
+            return subprocess.run([*qif, *argv], cwd=dirs[side], env=env, input=stdin,
+                                  capture_output=True, text=True, timeout=120)
+
+        alone = [run_in("fresh", shlex.split(line)) for line in lines
+                 if line.strip() and not line.lstrip().startswith("#")]
+        assert [done.returncode for done in alone].count(0) == len(alone) - 3
+        expected = ("".join(done.stdout for done in alone), "".join(done.stderr for done in alone),
+                    3)
+        for side, argv, stdin in (("file", ["batch", "all.batch"], None),
+                                  ("stdin", ["batch", "-"], text)):
+            done = run_in(side, argv, stdin)
+            assert (done.stdout, done.stderr, done.returncode) == expected, side
+            for csv in ("scan.csv", "grid scan.csv"):
+                assert (dirs[side] / csv).read_bytes() == (dirs["fresh"] / csv).read_bytes()
+
+    def test_one_stream_keeps_line_order(self, tmp_path):
+        """With stderr on stdout's pipe and stdout block-buffered, a line's error still comes
+        after the output of the lines before it, as in a sequence of fresh processes."""
+        lines = ["feasibility", "simulate missing.qif", "feasibility --drift-m 2"]
+        (tmp_path / "mixed.batch").write_text("\n".join(lines) + "\n")
+        env = {key: value for key, value in fresh_env().items() if key != "PYTHONUNBUFFERED"}
+
+        def merged(argv):
+            return subprocess.run([sys.executable, "-m", "qif.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                                  timeout=120).stdout
+
+        got = merged(["batch", "mixed.batch"])
+        assert got == b"".join(merged(shlex.split(line)) for line in lines)
+        assert got.index(b"error:") > got.index(b"(context:")
+
+    def test_refusals(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("empty.batch").write_text("# nothing to run\n\n")
+        assert run(["batch", "empty.batch"]) == 0
+        assert capsys.readouterr() == ("", "")
+        # a refused line counts as a parse error, and the remaining lines still run
+        Path("nested.batch").write_text("batch nested.batch\nfeasibility\n")
+        assert run(["batch", "nested.batch"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "nested.batch: line 1: a batch cannot run batch\n"
+        assert out.startswith("electron speed")
+        Path("quote.batch").write_text("\nfeasibility --slit-um 'two\nfeasibility\n")
+        assert run(["batch", "quote.batch"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "quote.batch: line 2: No closing quotation\n"
+        assert out.startswith("electron speed")
+        assert run(["batch", "missing.batch"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: 'missing.batch'\n")
+
+    @pytest.mark.parametrize("argv", [["batch"], ["batch", "-h"], ["batch", "a", "zz"]],
+                             ids=" ".join)
+    def test_parser_text_is_the_full_parsers(self, argv, monkeypatch):
+        TestParserText._prints_what_the_full_parser_prints(argv, monkeypatch)
 
 
 class TestFuzzSimulate:

@@ -284,6 +284,22 @@ class TestDivide:
         z = _divide_cases(rng)["subnormal_and_huge"]
         assert (z * (1 / np.sqrt(2.0))).view(np.float64).all()
 
+    @pytest.mark.parametrize("rows", [None, 6], ids=["one_row", "stack_with_column_s"])
+    def test_planted_zero_parts_divide_bit_for_bit(self, rng, rows):
+        """Elements with a zero part, of either sign or underflowed, take numpy's division
+        alone; the rest of the stack keeps the multiply."""
+        shape = (4096,) if rows is None else (rows, 4096)
+        for _ in range(50):
+            s = np.sqrt(2.0) if rows is None else 10.0 ** rng.uniform(-3, 3, (rows, 1))
+            parts = rng.standard_normal((*shape, 2)) * 10.0 ** rng.uniform(-322, 300, (*shape, 2))
+            planted = rng.random(parts.shape) < 1e-3
+            parts[planted] = rng.choice([0.0, -0.0], planted.sum())
+            z = parts.view(complex)[..., 0]
+            assert planted.any() and z.shape == shape
+            expected = (z / s).tobytes()
+            assert mzi._divide(z, s).tobytes() == expected
+            assert mzi._divide(z, s, np.empty_like(z)).tobytes() == expected
+
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_zero_tails_match_plain_division(self, monkeypatch, t):
         """A narrow source underflows to exact zeros; the ports keep the signs of / ."""
