@@ -45,8 +45,8 @@ def stats_grid(t, delta, alpha=0.0):
     p_c = (1.0 - 2.0 * cross) / 2.0
     p_d = (1.0 + 2.0 * cross) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean_c = np.where(p_c > DARK_THRESHOLD, delta * (r * r - cross) / (2.0 * p_c), np.nan)
-        mean_d = np.where(p_d > DARK_THRESHOLD, delta * (r * r + cross) / (2.0 * p_d), np.nan)
+        mean_c = np.where(p_c >= DARK_THRESHOLD, delta * (r * r - cross) / (2.0 * p_c), np.nan)
+        mean_d = np.where(p_d >= DARK_THRESHOLD, delta * (r * r + cross) / (2.0 * p_d), np.nan)
     return PortStats(p_c, mean_c, p_d, mean_d)
 
 

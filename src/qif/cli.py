@@ -192,6 +192,8 @@ def cmd_batch(args) -> int:
             try:
                 worst = max(worst, main(argv) if argv else EXIT_OK)
             except SystemExit as exc:  # argparse's help or usage error ends only its line
+                if exc.code == EXIT_RUNTIME:  # main's, for a broken pipe: argparse exits 0 or 2
+                    raise
                 worst = max(worst, exc.code)
             sys.stdout.flush()  # as a process's exit does: a later line's stderr comes after
     return worst
@@ -283,7 +285,16 @@ def main(argv=None) -> int:
     # errors in a circuit are reported against its file name
     prefix = getattr(args, "file", "error")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at the interpreter's exit
+        return code
+    except BrokenPipeError as exc:  # a reader left: the process ends, a batch's later lines too
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # what stdout holds would fail the exit's flush: send it nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_RUNTIME)
     except (QifError, UnicodeDecodeError) as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, circuitfile.ParseError) else EXIT_RUNTIME

@@ -238,33 +238,24 @@ def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats
     symmetric, and x *= e computes x * e, so phase keeps e on the left; and a stack
     array is past glibc's 128 KiB mmap threshold, so the work arrays are made once a
     call (made per stack, they cost 30 times the page faults and ran 11% slower).
-    A stack that refuses runs again cell by cell, to name the refusal a t-major
-    run_mzi loop meets first.
+    A stack that refuses defers to a t-major run_mzi loop: its first refusal is raised.
     """
     grid = input_wf.grid
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
-    stats, refused = np.empty((4, t.size)), (t.size, None)
+    stats = np.empty((4, t.size))
     height = max(1, min(t.size, STACK_BYTES // (16 * grid.n_points)))
     arm_a, arm_b, work = np.empty((3, height, grid.n_points), dtype=complex)
     square = np.empty((height, grid.n_points))
     order = np.argsort(delta, axis=None, kind="stable")
     for cells in np.split(order, range(height, t.size, height)):
-        cells = cells[cells < refused[0]]
         a, b, w, sq = (x[:cells.size] for x in (arm_a, arm_b, work, square))
         tk, dk, ak = (x.flat[cells][:, None] for x in (t, delta, alpha))
         try:
             state = apply_kick(split(input_wf, BeamSplitterCoeffs(tk), (a, b)), dk, ak, b)
-            for port, raw in enumerate(recombine(state, (b, w, a))):
-                stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
         except QifError:
-            for i in np.sort(cells).tolist():
-                try:
-                    run_mzi(input_wf, t.flat[i], delta.flat[i], alpha.flat[i])
-                except QifError as exc:
-                    refused = i, exc
-                    break
-            else:
-                raise
-    if refused[1] is not None:
-        raise refused[1]
+            for i in range(t.size):
+                run_mzi(input_wf, t.flat[i], delta.flat[i], alpha.flat[i])
+            raise
+        for port, raw in enumerate(recombine(state, (b, w, a))):
+            stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
     return PortStats(*stats.reshape((4,) + t.shape))

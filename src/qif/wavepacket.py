@@ -48,7 +48,7 @@ class GridSpec:
 
     n_points must be a power of two so the Fourier pair is a plain FFT.
     The conjugate position grid spans [-pi/dp, pi/dp) with n_points nodes.
-    What a grid caches on first use (p, z, phase factors, kick ramp) is read-only.
+    Its caches (p, z, phase factors) are read-only, and nothing else is written to a grid.
     """
 
     n_points: int
@@ -125,12 +125,8 @@ class GridSpec:
         return chi
 
     def kick_ramp(self, delta: float) -> np.ndarray:
-        """exp(i delta z), read-only.  Only the last delta's ramp is kept, never one per delta."""
-        key = delta, np.copysign(1.0, delta)  # the ramp of -0.0 has other signed zeros
-        last = self.__dict__.get("_kick_ramp", (None, None))
-        if last[0] != key:
-            last = self.__dict__["_kick_ramp"] = key, _frozen(self._exp_ramp(1j * delta))
-        return last[1]
+        """exp(i delta z), read-only.  Only the last (grid, delta) ramp is kept, off the grid."""
+        return _last_kick_ramp(self, delta, np.copysign(1.0, delta))  # -0.0 == 0.0; ramps differ
 
     def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """p_to_z(z_to_p(psi) * phase), computed in psi, which it returns.
@@ -150,6 +146,7 @@ class GridSpec:
 
 
 _last_grid = lru_cache(maxsize=1, typed=True)(GridSpec)  # called positionally: keyed on values
+_last_kick_ramp = lru_cache(maxsize=1)(lambda grid, delta, _: _frozen(grid._exp_ramp(1j * delta)))
 
 
 def default_grid(n_points: int = DEFAULT_N) -> GridSpec:

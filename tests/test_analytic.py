@@ -194,6 +194,19 @@ class TestStatsGrid:
             assert p_d[i] == pytest.approx(s.p_d, abs=1e-14)
             assert m_d[i] == pytest.approx(s.mean_d, abs=1e-12)
 
+    def test_a_port_at_the_dark_threshold_has_a_mean_on_both_sides(self, monkeypatch):
+        """One dark rule: a port is dark below DARK_THRESHOLD, for the oracle as for the grid."""
+        p_c = float(analytic.stats_grid(0.7, 0.3).p_c)
+        monkeypatch.setattr(analytic, "DARK_THRESHOLD", p_c)
+        assert not np.isnan(analytic.stats_grid(0.7, 0.3).mean_c)
+        monkeypatch.setattr(analytic, "DARK_THRESHOLD", float(np.nextafter(p_c, 1.0)))
+        assert np.isnan(analytic.stats_grid(0.7, 0.3).mean_c)
+        grid = wp.default_grid()
+        raw, _ = mzi.recombine(mzi.apply_kick(mzi.split(
+            wp.gaussian_init(wp.GaussianParams(), grid), mzi.BeamSplitterCoeffs(0.7)), 0.3))
+        monkeypatch.setattr(mzi, "DARK_THRESHOLD", float(mzi.port_moments(grid, raw)[0]))
+        assert not np.isnan(mzi.port_moments(grid, raw)[1])
+
 
 def _weak_value(t):
     """<f|Pi_B|psi> / <f|psi> for psi = (t, i r) and port C's f = (1, -i)/sqrt(2)."""

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import program_gen
 from qif import analytic, circuitfile, cli, interferometer as mzi, spinor, splitstep
 from qif import wavepacket as wp
-from qif.errors import QifError
+from qif.errors import ParameterError, QifError
 
 CANONICAL = """\
 source width=1 mean=0
@@ -442,6 +442,18 @@ class TestGridStats:
         assert str(got.value) == str(expected.value)
         assert message in str(got.value)
 
+    def test_cross_stack_refusal_of_another_kind(self):
+        # delta order puts cell 7 (t = 1.5) in the first stack and cell 0 (alpha nan) in the
+        # second: the first refusing stack is not the one holding the t-major first refusal
+        grid = wp.default_grid()
+        assert self.height(grid) == 6
+        t = [0.5, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.5]
+        delta = [1.9, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0]
+        alpha = [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ParameterError) as got:
+            grid_stats(np.array(t), np.array(delta), np.array(alpha), grid)
+        assert str(got.value) == "phase alpha must be finite, got nan"
+
     def test_stack_arrays_are_bounded_and_do_not_outlive_the_call(self):
         grid = wp.default_grid(4096)
         gauss = wp.gaussian_init(wp.GaussianParams(), grid)
@@ -462,7 +474,7 @@ class TestGridStats:
         assert after - before < 2 * row  # the last kick ramp, which replaced another
         assert set(grid.__dict__) == cached
         arrays = [v for v in grid.__dict__.values() if isinstance(v, np.ndarray)]
-        arrays.append(grid.__dict__["_kick_ramp"][1])
+        arrays.append(grid.kick_ramp(samples[:, 1].max()))
         assert not any(array.flags.writeable for array in arrays)
 
 
@@ -1042,6 +1054,50 @@ class TestBatch:
                              ids=" ".join)
     def test_parser_text_is_the_full_parsers(self, argv, monkeypatch):
         TestParserText._prints_what_the_full_parser_prints(argv, monkeypatch)
+
+
+class TestBrokenPipe:
+    """A reader that leaves ends the process: one error line, exit 3, and no later batch line."""
+
+    ERROR = b"error: [Errno 32] Broken pipe\n"
+
+    @staticmethod
+    def start(tmp_path, argv, unbuffered, stdout):
+        (tmp_path / "wave.qif").write_text(CANONICAL.replace("moments", "wavefunction"))
+        (tmp_path / "three.batch").write_text(  # a report of about 230 kB, past a pipe's 64 kB
+            "simulate wave.qif\nfeasibility\nsweep --t 0.5 0.9 3 --delta 0 1 3 --out late.csv\n")
+        env = {key: value for key, value in fresh_env().items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        return subprocess.Popen([sys.executable, "-m", "qif.cli", *argv], cwd=tmp_path, env=env,
+                                stdout=stdout, stderr=subprocess.PIPE)
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "wave.qif"],
+        ["sweep", "--t", "0.1", "0.9", "100", "--delta", "0", "2", "100", "--out", "/dev/stdout"],
+        ["batch", "three.batch"],
+    ], ids=["simulate", "sweep", "batch"])
+    def test_reader_leaves_after_one_line(self, tmp_path, argv, unbuffered):
+        proc = self.start(tmp_path, argv, unbuffered, subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.communicate(timeout=120)[1], proc.returncode) == (self.ERROR, 3)
+        assert not (tmp_path / "late.csv").exists()
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["sweep", *"--t 0.5 0.9 3 --delta 0 1 3 --out s.csv".split()],
+                                      ["batch", "three.batch"]], ids=["sweep", "batch"])
+    def test_reader_gone_before_the_first_write(self, tmp_path, argv, unbuffered):
+        # buffered, the write fails only in the flush at the interpreter's exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.start(tmp_path, argv, unbuffered, write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.communicate(timeout=120)[1], proc.returncode) == (self.ERROR, 3)
+        assert not (tmp_path / "late.csv").exists()
 
 
 class TestFuzzSimulate:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qif import interferometer as mzi
-from qif import spinor, wavepacket as wp
+from qif import spinor, splitstep, wavepacket as wp
 from qif.errors import AliasingError, GridTooNarrowError, ParameterError, ZeroNormError
 from qif.interferometer import TwoPathState
 from qif.wavepacket import GaussianParams, GridSpec, MomentumWavefunction
@@ -59,6 +59,24 @@ class TestDefaultGrid:
             assert getattr(rebuilt, name).tobytes() == getattr(fresh, name).tobytes(), name
         with pytest.raises(TypeError):  # an untyped cache would find the 4096 grid under 4096.0
             wp.default_grid(n_points=4096.0)
+
+
+    def test_kicks_and_surfaces_leave_the_shared_grid_unwritten(self):
+        """A shared grid is never written after its cached factors: the last kick ramp is not
+        kept on it."""
+        grid = wp.default_grid()
+        gauss = wp.gaussian_init(GaussianParams(), grid)
+        before = wp.to_position(gauss)
+        wp.to_momentum(before)
+        cached = dict(grid.__dict__)
+        assert set(CACHED_ARRAYS) <= set(cached)
+        for delta in (0.3, -0.3, 0.0, -0.0, 1.1):
+            wp.shift_amplitudes(grid, gauss.amplitudes, delta)
+        mzi.stats_grid(gauss, [0.6, 0.8], [0.4, -0.0], 0.2)
+        after = wp.to_position(wp.shift(gauss, 0.5))
+        splitstep.kick_fidelity(before, after, 0.5)
+        assert grid.__dict__.keys() == cached.keys()
+        assert all(grid.__dict__[name] is value for name, value in cached.items())
 
 
 class TestGaussianInit:
