@@ -66,8 +66,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"sweep of {args.t[2]:g} x {args.delta[2]:g} cells exceeds "
                              f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
     ts = np.linspace(args.t[0], args.t[1], int(args.t[2]))
-    # refuses the first t outside [0, 1] (ts[0] when there is none) as a per-t loop would
-    mzi.BeamSplitterCoeffs(ts[np.argmin((0.0 <= ts) & (ts <= 1.0))])
+    mzi.BeamSplitterCoeffs(ts)  # refuses the first t outside [0, 1], as a per-t loop would
     tt, dd = np.meshgrid(ts, np.linspace(args.delta[0], args.delta[1], int(args.delta[2])),
                          indexing="ij")
     if args.backend == "oracle":
@@ -157,8 +156,8 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_bec(args) -> int:
-    grid = wp.default_grid(args.grid_n)
-    outcome = spinor.run_protocol(args.t, args.delta_a, args.delta_b, grid)
+    gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid(args.grid_n))
+    outcome = spinor.run_protocol(gauss, args.t, args.delta_a, args.delta_b)
     delta = args.delta_b - args.delta_a
     print(f"t = {args.t}, delta_a = {args.delta_a}, delta_b = {args.delta_b} "
           f"(effective delta = {delta:.12g})")
@@ -167,7 +166,6 @@ def cmd_bec(args) -> int:
     else:
         print(f"select A: P = {outcome.probability:.12g}, <p> = {outcome.mean_p:.12g}")
     if args.check_mzi:
-        gauss = wp.gaussian_init(wp.GaussianParams(), grid)
         out_c, _ = mzi.run_mzi(gauss, args.t, delta)
         raw = [o.wavefunction.amplitudes * (1.0 if o.is_dark else np.sqrt(o.probability))
                for o in (outcome, out_c)]  # a dark outcome already holds the raw amplitudes
@@ -281,10 +279,12 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
-    # errors in a circuit are reported against its file name
-    prefix = getattr(args, "file", "error")
     try:
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+        finally:  # argparse prints help or a usage error and exits: its text is flushed here
+            sys.stdout.flush()
+        prefix = getattr(args, "file", "error")  # errors in a circuit name its file
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at the interpreter's exit
         return code

@@ -42,9 +42,11 @@ class BeamSplitterCoeffs:
 
     t: float
 
-    def __post_init__(self):  # t may be a column of cells, one per row of a stack
-        if not wp.all_cells((0.0 <= self.t) & (self.t <= 1.0)):
-            raise ParameterError(f"transmission must lie in [0, 1], got {self.t}")
+    def __post_init__(self):  # t may be a column of cells: its first bad one, flat, is named
+        inside = (0.0 <= self.t) & (self.t <= 1.0)
+        if not wp.all_cells(inside):
+            bad = self.t.flat[np.argmin(inside)] if isinstance(inside, np.ndarray) else self.t
+            raise ParameterError(f"transmission must lie in [0, 1], got {bad}")
 
     @property
     def r(self) -> float:

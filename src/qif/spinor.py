@@ -15,9 +15,8 @@ port C with delta = delta_b - delta_a and alpha = 0.
 import numpy as np
 
 from . import interferometer as mzi
-from . import wavepacket as wp
 from .interferometer import BeamSplitterCoeffs, PortOutcome, TwoPathState
-from .wavepacket import GaussianParams
+from .wavepacket import MomentumWavefunction
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -38,9 +37,9 @@ def stern_gerlach(state: TwoPathState, delta_a: float, delta_b: float) -> TwoPat
     return mzi.kick(mzi.kick(state, "A", delta_a), "B", delta_b)
 
 
-def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
-                 grid: wp.GridSpec, select: str = "A") -> PortOutcome:
-    """Full pulse sequence starting from a Gaussian in |A>.
+def run_protocol(input_wf: MomentumWavefunction, t_coeff: float, delta_a: float,
+                 delta_b: float, select: str = "A") -> PortOutcome:
+    """Full pulse sequence starting from input_wf in |A>, any source run_mzi takes.
 
     pulse(t) -> kick(delta_a, delta_b) -> pi/2 pulse -> kick(-delta_a,
     -delta_b) -> select.  Selecting A reproduces port C of the spatial
@@ -48,8 +47,8 @@ def run_protocol(t_coeff: float, delta_a: float, delta_b: float,
     yields the port-D wavefunction rigidly translated by -(delta_b -
     delta_a) in momentum (same probability, shifted mean).
     """
-    empty = np.zeros(grid.n_points, dtype=complex)
-    state = TwoPathState(grid, wp.gaussian_init(GaussianParams(), grid).amplitudes, empty)
+    grid = input_wf.grid
+    state = TwoPathState(grid, input_wf.amplitudes, np.zeros(grid.n_points, dtype=complex))
     state = microwave_pulse(state, t_coeff)
     state = stern_gerlach(state, delta_a, delta_b)
     state = microwave_pulse(state, _SQRT1_2)

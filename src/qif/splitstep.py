@@ -122,11 +122,13 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
     """|<shift(before, delta) | after>| with both states normalized.
 
     Quantifies how well a finite-duration pulse realizes the ideal rigid
-    momentum shift; 1 means the packet kept its form exactly.
+    momentum shift; 1 means the packet kept its form exactly.  A delta that
+    would carry before's momentum past a grid edge is refused, as shift refuses it.
     """
     if before.grid != after.grid:
         raise GridMismatchError("fidelity requires a shared grid")
     wp.check_aliasing_guard(before.grid, delta)
+    wp.check_landing(before.grid, (before.grid.z_to_p(before.amplitudes),), (delta,))
     target = before.amplitudes * before.grid.kick_ramp(delta)  # the exact shift, a phase ramp
     inner = np.sum(np.conj(target) * after.amplitudes) * before.grid.dz
     return float(abs(inner) / np.sqrt(wp.norm(before) * wp.norm(after)))

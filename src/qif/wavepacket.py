@@ -114,11 +114,9 @@ class GridSpec:
         """
         return self._unsigned_p_to_z(np.multiply(phi, self._signs, out=out))
 
-    def z_to_p(self, psi: np.ndarray) -> np.ndarray:
-        """Inverse of p_to_z."""
-        return self._ramped_z_to_p(psi * self._p_ramp)
-
-    def _ramped_z_to_p(self, chi: np.ndarray) -> np.ndarray:  # z_to_p(chi / _p_ramp), in chi
+    def z_to_p(self, psi: np.ndarray, out=None) -> np.ndarray:
+        """Inverse of p_to_z.  out may be psi."""
+        chi = np.multiply(psi, self._p_ramp, out=out)
         np.fft.fft(chi, out=chi)
         chi *= self._signs
         chi *= self._p_scale
@@ -250,15 +248,28 @@ def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
 def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
     """Refuse |delta| of a quarter of the grid span or more.
 
-    For shift, which also tests where the norm lands, this only refuses kicks
-    that would not wrap.  It stays: it is the only guard kick_fidelity has,
-    and the benchmark's aliasing probes (kicks of 8-9.5 W) require exit 3.
+    For shift and kick_fidelity, which also test where the norm lands, this only
+    refuses kicks that would not wrap.  It stays: the benchmark's aliasing probes
+    (kicks of 8-9.5 W) require exit 3.
     """
     span = grid.p_max - grid.p_min
     if not all_cells(~np.isnan(delta)):  # fails closed: nan compares false with any guard
         raise ParameterError(f"kick delta must be finite, got {delta}")
     if not all_cells(abs(delta) < span / 4):
         raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")
+
+
+def check_landing(grid: GridSpec, rows, deltas) -> None:
+    """Refuse to shift a row of momentum amplitudes by its delta if more than WRAP_TOLERANCE
+    of its norm would land past a grid edge and wrap, unless the row is dark."""
+    for row, d in zip(rows, deltas):
+        # p + d is sorted, so the nodes that land outside are a prefix and a suffix
+        lo, hi = np.searchsorted(grid.p + d, (grid.p_min, grid.p_max))
+        wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
+        total = np.vdot(row, row).real
+        if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
+            raise AliasingError(f"delta={d} moves {wrapped / total:.3g} of the norm "
+                                "past the grid edge")
 
 
 def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.ndarray:
@@ -277,20 +288,12 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.nda
     if not any(deltas):  # every kick is 0
         return amp
     rows = amp if amp.ndim == 2 else (amp,)
-    for row, d in zip(rows, deltas):
-        # p + d is sorted, so the nodes that land outside are a prefix and a suffix
-        lo, hi = np.searchsorted(grid.p + d, (grid.p_min, grid.p_max))
-        wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
-        total = np.vdot(row, row).real
-        if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
-            raise AliasingError(f"delta={d} moves {wrapped / total:.3g} of the norm "
-                                "past the grid edge")
+    check_landing(grid, rows, deltas)
     kept = [(i, rows[i].copy()) for i, d in enumerate(deltas) if d == 0.0]
     psi = grid.p_to_z(amp, out)  # the kick's one new array unless out: later steps work in it
     for row, d in zip(psi if psi.ndim == 2 else (psi,), deltas):
         row *= grid.kick_ramp(d)
-    psi *= grid._p_ramp
-    psi = grid._ramped_z_to_p(psi)
+    psi = grid.z_to_p(psi, psi)
     for i, row in kept:
         psi[i] = row
     return psi

@@ -176,7 +176,7 @@ def test_criterion_9_bec_equivalence():
         t = rng.uniform(0.05, 0.95)
         da = rng.uniform(-1.0, 1.0)
         db = rng.uniform(-1.0, 1.0)
-        out = spinor.run_protocol(t, da, db, grid)
+        out = spinor.run_protocol(gauss, t, da, db)
         ref, _ = mzi.run_mzi(gauss, t, db - da)
         raw_out = out.wavefunction.amplitudes * np.sqrt(out.probability)
         raw_ref = ref.wavefunction.amplitudes * np.sqrt(ref.probability)

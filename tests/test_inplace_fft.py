@@ -90,6 +90,14 @@ def test_apply_impulse(grid, substeps):
         assert_same_bytes(got, ref_apply_impulse(grid, psi.amplitudes, pulse))
 
 
+def test_z_to_p_into_its_input(grid):
+    for delta in DELTAS:
+        psi = ref_p_to_z(grid, packet(grid) * np.exp(1j * delta * grid.p))
+        expected = grid.z_to_p(psi)
+        assert grid.z_to_p(psi, out=psi) is psi
+        assert_same_bytes(psi, expected)
+
+
 def test_momentum_phase_returns_its_input(grid):
     psi = ref_p_to_z(grid, packet(grid))
     assert grid.momentum_phase(psi, np.exp(-0.3j * grid.p * grid.p)) is psi

@@ -28,6 +28,13 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             BeamSplitterCoeffs(t)
 
+    @pytest.mark.parametrize("t, named", [(np.array([[0.5], [1.2], [-0.1]]), "1.2"),
+                                          (1.5, "1.5"), (2, "2"), (float("nan"), "nan")])
+    def test_refusal_names_the_first_bad_t(self, t, named):
+        with pytest.raises(ValueError) as caught:
+            BeamSplitterCoeffs(t)
+        assert str(caught.value) == f"transmission must lie in [0, 1], got {named}"
+
     def test_full_transmission(self, gauss):
         state = mzi.split(gauss, BeamSplitterCoeffs(1.0))
         assert _norm(state.grid, state.path_b) == 0.0

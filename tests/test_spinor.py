@@ -97,39 +97,42 @@ class TestSelect:
 
 
 class TestRunProtocol:
-    def test_reference_point(self, grid):
-        out = spinor.run_protocol(0.85, 0.1, 0.3, grid)
+    def test_reference_point(self, gauss):
+        out = spinor.run_protocol(gauss, 0.85, 0.1, 0.3)
         assert out.probability == pytest.approx(0.05669005452584719, abs=1e-9)
         assert out.mean_p == pytest.approx(-0.2924850696669441, abs=1e-9)
 
-    def test_no_relative_kick(self, grid):
-        out = spinor.run_protocol(0.85, 0.25, 0.25, grid)
+    def test_no_relative_kick(self, gauss):
+        out = spinor.run_protocol(gauss, 0.85, 0.25, 0.25)
         assert out.mean_p == pytest.approx(0.0, abs=1e-9)
 
-    def test_nodewise_equivalence_to_port_c(self, grid, gauss, rng):
+    @pytest.mark.parametrize("source", [GaussianParams(), GaussianParams(1.3, 0.4)],
+                             ids=["unit", "wide_off_centre"])
+    def test_nodewise_equivalence_to_port_c(self, grid, source, rng):
+        gauss = wp.gaussian_init(source, grid)
         for _ in range(20):
             t = rng.uniform(0.1, 0.95)
             da = rng.uniform(-1.0, 1.0)
             db = rng.uniform(-1.0, 1.0)
-            out = spinor.run_protocol(t, da, db, grid)
+            out = spinor.run_protocol(gauss, t, da, db)
             mzi_c, _ = mzi.run_mzi(gauss, t, db - da)
             np.testing.assert_allclose(_raw(out), _raw(mzi_c), atol=1e-10)
 
-    def test_depends_on_difference_only(self, grid, rng):
+    def test_depends_on_difference_only(self, gauss, rng):
         for _ in range(10):
             diff = rng.uniform(-1.0, 1.0)
             base = rng.uniform(-0.5, 0.5)
             other = rng.uniform(-0.5, 0.5)
-            out1 = spinor.run_protocol(0.8, base, base + diff, grid)
-            out2 = spinor.run_protocol(0.8, other, other + diff, grid)
+            out1 = spinor.run_protocol(gauss, 0.8, base, base + diff)
+            out2 = spinor.run_protocol(gauss, 0.8, other, other + diff)
             np.testing.assert_allclose(_raw(out1), _raw(out2), atol=1e-10)
 
-    def test_select_b_is_translated_port_d(self, grid, gauss):
+    def test_select_b_is_translated_port_d(self, gauss):
         # selecting B gives the port-D wavefunction rigidly shifted by
         # -(db - da): equal probability, mean displaced by the kick
         t, da, db = 0.85, 0.1, 0.3
         delta = db - da
-        out_b = spinor.run_protocol(t, da, db, grid, select="B")
+        out_b = spinor.run_protocol(gauss, t, da, db, select="B")
         _, mzi_d = mzi.run_mzi(gauss, t, delta)
         assert out_b.probability == pytest.approx(mzi_d.probability, abs=1e-10)
         assert out_b.mean_p == pytest.approx(mzi_d.mean_p - delta, abs=1e-9)
@@ -139,14 +142,14 @@ class TestRunProtocol:
         )
 
     @pytest.mark.parametrize("kick", [0.3, 0.005, -1.0])
-    def test_dark_mode_is_kicked_not_refused(self, grid, kick):
+    def test_dark_mode_is_kicked_not_refused(self, gauss, kick):
         # balanced pulses and equal kicks: A is dark, and the wrap of its
         # rounding noise is no refusal
-        out = spinor.run_protocol(0.7071067811865476, kick, kick, grid)
+        out = spinor.run_protocol(gauss, 0.7071067811865476, kick, kick)
         assert out.is_dark
         assert out.probability < wp.DARK_THRESHOLD
 
-    def test_protocol_unitary_before_selection(self, grid):
-        out_a = spinor.run_protocol(0.7, 0.2, 0.5, grid, select="A")
-        out_b = spinor.run_protocol(0.7, 0.2, 0.5, grid, select="B")
+    def test_protocol_unitary_before_selection(self, gauss):
+        out_a = spinor.run_protocol(gauss, 0.7, 0.2, 0.5, select="A")
+        out_b = spinor.run_protocol(gauss, 0.7, 0.2, 0.5, select="B")
         assert out_a.probability + out_b.probability == pytest.approx(1.0, abs=1e-10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qif import analytic, splitstep as ss, wavepacket as wp
-from qif.errors import BoundaryLeakError, GridMismatchError, ParameterError
+from qif.errors import AliasingError, BoundaryLeakError, GridMismatchError, ParameterError
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams, PositionWavefunction
 
@@ -163,6 +163,17 @@ class TestKickFidelity:
         # odd parity vs even parity: exactly orthogonal
         odd = PositionWavefunction(psi0.grid, psi0.amplitudes * psi0.grid.z)
         assert ss.kick_fidelity(psi0, odd, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_target_that_wraps_refused_as_shift_refuses_it(self):
+        # inside the quarter-span guard of 4, yet 0.15% of the norm would land past p_max
+        source = wp.gaussian_init(GaussianParams(1.0, 2.0), wp.GridSpec(256, -8.0, 8.0))
+        with pytest.raises(AliasingError) as shifted:
+            wp.shift(source, 3.9)
+        before = wp.to_position(source)
+        after = ss.apply_impulse(before, ImpulsePulse(19.5, 0.2, 64), PropagationConfig(1e4))
+        with pytest.raises(AliasingError) as fidelity:
+            ss.kick_fidelity(before, after, 3.9)
+        assert str(fidelity.value) == str(shifted.value)
 
 
 class TestPipelineEquivalence:
