@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import os
+import re
 import shlex
 import sys
 
@@ -238,7 +239,13 @@ SUBCOMMANDS = {
 }
 
 
+#: argparse reads only -12 and -1.5 as numbers, so -1e-3 would be an option; no qif option
+#: starts with - and a digit.  -inf and -nan stay options.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 def _add_arguments(parser, name) -> argparse.ArgumentParser:
+    parser._negative_number_matcher = _NEGATIVE_NUMBER  # private; 3.11 has no public setting
     for flag, kwargs in SUBCOMMANDS[name][2]:
         parser.add_argument(flag, **kwargs)
     parser.set_defaults(func=SUBCOMMANDS[name][1], command=name)
@@ -262,6 +269,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
         return _add_arguments(argparse.ArgumentParser(prog=f"qif {command}"), command)
     parser = argparse.ArgumentParser(prog="qif", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in SUBCOMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_text), name)

@@ -109,7 +109,7 @@ def _mode_field(mode: str) -> str:
 def kick(state: TwoPathState, mode: str, delta, out=None) -> TwoPathState:
     """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given."""
     name = _mode_field(mode)
-    amp = wp.shift_amplitudes(state.grid, getattr(state, name), delta, out)
+    amp = wp.shift(state.grid, getattr(state, name), delta, out)
     return replace(state, **{name: amp})
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import interferometer as mzi
 from . import wavepacket as wp
-from .errors import BoundaryLeakError, GridMismatchError, ParameterError
+from .errors import BoundaryLeakError, GridMismatchError, ParameterError, ZeroNormError
 from .wavepacket import MomentumWavefunction, PositionWavefunction
 
 #: Fraction of cells at each edge of the position window used for the
@@ -108,6 +108,7 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     # a non-finite value at any substep has spread to every node: refused here
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)
+    wp.check_kick(grid, (grid.z_to_p(wf.amplitudes),), (pulse.delta,))  # as shift refuses it
     return out
 
 
@@ -123,15 +124,18 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
 
     Quantifies how well a finite-duration pulse realizes the ideal rigid
     momentum shift; 1 means the packet kept its form exactly.  A delta that
-    would carry before's momentum past a grid edge is refused, as shift refuses it.
+    would carry before's momentum past a grid edge is refused, as shift refuses it,
+    and so is a dark state, which has no direction to compare.
     """
     if before.grid != after.grid:
         raise GridMismatchError("fidelity requires a shared grid")
-    wp.check_aliasing_guard(before.grid, delta)
-    wp.check_landing(before.grid, (before.grid.z_to_p(before.amplitudes),), (delta,))
+    wp.check_kick(before.grid, (before.grid.z_to_p(before.amplitudes),), (delta,))
+    norms = wp.norm(before), wp.norm(after)
+    if min(norms) < wp.DARK_THRESHOLD:
+        raise ZeroNormError(f"norm {min(norms)} below dark-port threshold")
     target = before.amplitudes * before.grid.kick_ramp(delta)  # the exact shift, a phase ramp
     inner = np.sum(np.conj(target) * after.amplitudes) * before.grid.dz
-    return float(abs(inner) / np.sqrt(wp.norm(before) * wp.norm(after)))
+    return float(abs(inner) / np.sqrt(norms[0] * norms[1]))
 
 
 def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePulse,

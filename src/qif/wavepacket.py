@@ -245,24 +245,18 @@ def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
     return MomentumWavefunction(wf.grid, wf.grid.z_to_p(wf.amplitudes))
 
 
-def check_aliasing_guard(grid: GridSpec, delta: float) -> None:
-    """Refuse |delta| of a quarter of the grid span or more.
-
-    For shift and kick_fidelity, which also test where the norm lands, this only
-    refuses kicks that would not wrap.  It stays: the benchmark's aliasing probes
-    (kicks of 8-9.5 W) require exit 3.
-    """
-    span = grid.p_max - grid.p_min
-    if not all_cells(~np.isnan(delta)):  # fails closed: nan compares false with any guard
-        raise ParameterError(f"kick delta must be finite, got {delta}")
-    if not all_cells(abs(delta) < span / 4):
-        raise AliasingError(f"|delta|={abs(delta)} exceeds guard {span / 4}")
-
-
-def check_landing(grid: GridSpec, rows, deltas) -> None:
-    """Refuse to shift a row of momentum amplitudes by its delta if more than WRAP_TOLERANCE
-    of its norm would land past a grid edge and wrap, unless the row is dark."""
+def check_kick(grid: GridSpec, rows, deltas) -> None:
+    """Refuse to shift each row of momentum amplitudes by its delta if the delta is nan, if
+    |delta| reaches a quarter of the grid span, or if more than WRAP_TOLERANCE of the row's
+    norm would land past a grid edge and wrap, unless the row is dark.  The quarter-span rule
+    refuses only kicks that would not wrap; it stays because the benchmark's aliasing probes
+    (kicks of 8-9.5 W) require exit 3."""
+    guard = (grid.p_max - grid.p_min) / 4
     for row, d in zip(rows, deltas):
+        if np.isnan(d):  # fails closed: nan compares false with any guard
+            raise ParameterError(f"kick delta must be finite, got {d}")
+        if not abs(d) < guard:
+            raise AliasingError(f"|delta|={abs(d)} exceeds guard {guard}")
         # p + d is sorted, so the nodes that land outside are a prefix and a suffix
         lo, hi = np.searchsorted(grid.p + d, (grid.p_min, grid.p_max))
         wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
@@ -272,23 +266,19 @@ def check_landing(grid: GridSpec, rows, deltas) -> None:
                                 "past the grid edge")
 
 
-def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.ndarray:
+def shift(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.ndarray:
     """The amplitudes amp(p - delta): a rigid momentum displacement on grid.
 
-    Realized as the phase ramp exp(i delta z) in position space, which is
-    exact for band-limited content and works for arbitrary delta.  Guarded
-    against wrap-around: |delta| must stay below a quarter of the grid span,
-    and no more than WRAP_TOLERANCE of the norm may be moved past an edge
-    unless the state is dark (rounding noise below DARK_THRESHOLD).  A shift
-    by 0 returns amp itself, and a stack's row its row.  A stack of rows takes a
-    column delta, a kick per row; out (which may be amp) takes the result.
+    Realized as the phase ramp exp(i delta z) in position space, which is exact for
+    band-limited content and works for arbitrary delta; check_kick refuses a wrap.  A shift
+    by 0 returns amp itself, and a stack's row its row.  A stack of rows takes a column
+    delta, a kick per row; out (which may be amp) takes the result.
     """
-    check_aliasing_guard(grid, delta)
     deltas = np.ravel(delta).tolist()
     if not any(deltas):  # every kick is 0
         return amp
     rows = amp if amp.ndim == 2 else (amp,)
-    check_landing(grid, rows, deltas)
+    check_kick(grid, rows, deltas)
     kept = [(i, rows[i].copy()) for i, d in enumerate(deltas) if d == 0.0]
     psi = grid.p_to_z(amp, out)  # the kick's one new array unless out: later steps work in it
     for row, d in zip(psi if psi.ndim == 2 else (psi,), deltas):
@@ -297,9 +287,3 @@ def shift_amplitudes(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.nda
     for i, row in kept:
         psi[i] = row
     return psi
-
-
-def shift(wf: MomentumWavefunction, delta: float) -> MomentumWavefunction:
-    """Phi(p) -> Phi(p - delta), as shift_amplitudes; a shift by 0 returns wf."""
-    amp = shift_amplitudes(wf.grid, wf.amplitudes, delta)
-    return wf if amp is wf.amplitudes else MomentumWavefunction(wf.grid, amp)

@@ -229,7 +229,7 @@ def test_criterion_11_shift_exactness():
         mu = rng.uniform(-2.0, 2.0)
         delta = rng.uniform(-3.0, 3.0)
         gauss = wp.gaussian_init(GaussianParams(width=w, mean=mu), grid)
-        shifted = wp.shift(gauss, delta)
+        shifted = wp.MomentumWavefunction(grid, wp.shift(grid, gauss.amplitudes, delta))
         worst_mean = max(
             worst_mean,
             abs(wp.mean_momentum(shifted) - wp.mean_momentum(gauss) - delta),

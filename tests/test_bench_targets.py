@@ -107,3 +107,20 @@ def test_traced_run_reads_dark_ports_and_substeps(tmp_path, capsys):
         tracer.remove()
     assert tracer.dark_ports == 1
     assert tracer.substeps == 3
+
+
+def test_traced_run_sees_every_kick(tmp_path, capsys):
+    # a circuit's one kick and a grid surface's stacked kicks both go through wavepacket.shift
+    spans = _spans()
+    shift = spans.NAMES.index("wavepacket.shift")
+    argvs = (["simulate", str(ROOT / "circuits" / "anomalous_kick.qif")],
+             ["sweep", "--t", "0.6", "0.9", "4", "--delta", "0.1", "0.4", "4",
+              "--backend", "grid", "--grid-n", "256", "--out", str(tmp_path / "s.csv")])
+    for argv in argvs:
+        tracer = spans.Tracer(QifError)
+        tracer.install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracer.remove()
+        assert shift in tracer.name_id, argv[0]

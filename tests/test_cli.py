@@ -901,6 +901,8 @@ NAMESPACE_ARGV = [
     ["simulate", "--grid", "8", "x.qif"],                     # an abbreviated option
     ["simulate", "--grid-n", "8", "x.qif"],                   # options before a positional
     ["bec", "--check-mzi", "--delta-b", "1", "--t", "0.8", "--delta-a", "0"],
+    ["bec", "--t", "0.8", "--delta-a", "-1e-3", "--delta-b", "0.2"],  # negative numbers
+    ["sweep", "--t", "0.1", "0.9", "3", "--delta", "-1e-1", "1", "3", "--out", "x.csv"],
 ]
 
 

@@ -69,7 +69,7 @@ def packet(grid):
 def test_shift_amplitudes(grid):
     amp = packet(grid)
     for delta in DELTAS:
-        assert_same_bytes(wp.shift_amplitudes(grid, amp, delta), ref_shift(grid, amp, delta))
+        assert_same_bytes(wp.shift(grid, amp, delta), ref_shift(grid, amp, delta))
 
 
 def test_fourier_pair(grid):
@@ -107,7 +107,7 @@ def test_read_only_inputs_and_caches_are_left_alone(grid):
     amp = packet(grid)
     psi = PositionWavefunction(grid, ref_p_to_z(grid, amp))
     kept = amp.tobytes(), psi.amplitudes.tobytes()
-    outputs = [wp.shift_amplitudes(grid, amp, 1.1), grid.p_to_z(amp),
+    outputs = [wp.shift(grid, amp, 1.1), grid.p_to_z(amp),
                grid.z_to_p(psi.amplitudes), ss.apply_impulse(psi, ImpulsePulse(2.0, 0.5, 7))]
     assert (amp.tobytes(), psi.amplitudes.tobytes()) == kept
     for out in outputs[:3]:
@@ -129,6 +129,6 @@ def peak_bytes(call):
 def test_one_array_per_kick_and_none_per_substep():
     grid = wp.default_grid(4096)
     amp, array = packet(grid), 16 * grid.n_points
-    assert array <= peak_bytes(lambda: wp.shift_amplitudes(grid, amp, 1.1)) < 2 * array
+    assert array <= peak_bytes(lambda: wp.shift(grid, amp, 1.1)) < 2 * array
     psi, phase = ref_p_to_z(grid, amp), np.exp(-0.3j * grid.p * grid.p)
     assert peak_bytes(lambda: grid.momentum_phase(psi, phase)) < array // 4

@@ -111,11 +111,11 @@ class TestRecombine:
             mzi.split(gauss, BeamSplitterCoeffs(t)), delta, alpha
         )
         raw_c, raw_d = mzi.recombine(state)
-        shifted = wp.shift(gauss, delta)
+        shifted = wp.shift(gauss.grid, gauss.amplitudes, delta)
         expect_c = (t * gauss.amplitudes
-                    - r * np.exp(1j * alpha) * shifted.amplitudes) / np.sqrt(2)
+                    - r * np.exp(1j * alpha) * shifted) / np.sqrt(2)
         expect_d = (t * gauss.amplitudes
-                    + r * np.exp(1j * alpha) * shifted.amplitudes) / np.sqrt(2)
+                    + r * np.exp(1j * alpha) * shifted) / np.sqrt(2)
         np.testing.assert_allclose(raw_c, expect_c, atol=1e-12)
         np.testing.assert_allclose(raw_d, expect_d, atol=1e-12)
 

@@ -77,10 +77,10 @@ class TestSternGerlach:
         state = spinor.stern_gerlach(spinor.microwave_pulse(pure_a, t), da, db)
         grid, gauss = pure_a.grid, pure_a.path_a
         np.testing.assert_allclose(
-            state.path_a, t * wp.shift_amplitudes(grid, gauss, da), atol=1e-12
+            state.path_a, t * wp.shift(grid, gauss, da), atol=1e-12
         )
         np.testing.assert_allclose(
-            state.path_b, r * wp.shift_amplitudes(grid, gauss, db), atol=1e-12
+            state.path_b, r * wp.shift(grid, gauss, db), atol=1e-12
         )
 
 
@@ -136,9 +136,10 @@ class TestRunProtocol:
         _, mzi_d = mzi.run_mzi(gauss, t, delta)
         assert out_b.probability == pytest.approx(mzi_d.probability, abs=1e-10)
         assert out_b.mean_p == pytest.approx(mzi_d.mean_p - delta, abs=1e-9)
-        shifted_d = wp.shift(mzi_d.wavefunction, -delta)
+        port_d = mzi_d.wavefunction
+        shifted_d = wp.shift(port_d.grid, port_d.amplitudes, -delta)
         np.testing.assert_allclose(
-            out_b.wavefunction.amplitudes, shifted_d.amplitudes, atol=1e-10
+            out_b.wavefunction.amplitudes, shifted_d, atol=1e-10
         )
 
     @pytest.mark.parametrize("kick", [0.3, 0.005, -1.0])

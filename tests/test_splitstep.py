@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qif import analytic, splitstep as ss, wavepacket as wp
-from qif.errors import AliasingError, BoundaryLeakError, GridMismatchError, ParameterError
+from qif.errors import (AliasingError, BoundaryLeakError, GridMismatchError, ParameterError,
+                        ZeroNormError)
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams, PositionWavefunction
 
@@ -168,12 +169,25 @@ class TestKickFidelity:
         # inside the quarter-span guard of 4, yet 0.15% of the norm would land past p_max
         source = wp.gaussian_init(GaussianParams(1.0, 2.0), wp.GridSpec(256, -8.0, 8.0))
         with pytest.raises(AliasingError) as shifted:
-            wp.shift(source, 3.9)
+            wp.shift(source.grid, source.amplitudes, 3.9)
         before = wp.to_position(source)
-        after = ss.apply_impulse(before, ImpulsePulse(19.5, 0.2, 64), PropagationConfig(1e4))
         with pytest.raises(AliasingError) as fidelity:
-            ss.kick_fidelity(before, after, 3.9)
+            ss.kick_fidelity(before, before, 3.9)
         assert str(fidelity.value) == str(shifted.value)
+        # the pulse that delivers the kick (19.5 * 0.2) meets the same guard
+        pulse, config = ImpulsePulse(19.5, 0.2, 64), PropagationConfig(1e4)
+        for run in (lambda: ss.apply_impulse(before, pulse, config),
+                    lambda: ss.run_mzi_splitstep(source, 0.5, pulse, config)):
+            with pytest.raises(AliasingError) as pulsed:
+                run()
+            assert str(pulsed.value) == ("delta=3.9000000000000004 moves 0.00153 of the norm "
+                                         "past the grid edge")
+
+    def test_dark_state_refused(self, psi0):
+        zero = PositionWavefunction(psi0.grid, np.zeros(psi0.grid.n_points, dtype=complex))
+        for before, after in ((zero, zero), (psi0, zero), (zero, psi0)):
+            with pytest.raises(ZeroNormError, match="^norm 0.0 below dark-port threshold$"):
+                ss.kick_fidelity(before, after, 0.1)
 
 
 class TestPipelineEquivalence:
