@@ -26,7 +26,8 @@ from .wavepacket import MomentumWavefunction, PositionWavefunction
 #: leakage check.
 _EDGE_FRACTION = 0.05
 _LEAK_TOLERANCE = 1e-6
-#: Most substeps a pulse takes: at 0.1-0.2 ms each on a 4096-point grid, 10^6 are minutes.
+#: Most substeps a pulse takes.  apply_impulse costs one FFT pair at any count; the bound
+#: refuses a count such as 10^18 as the typo it is.
 MAX_SUBSTEPS = 10 ** 6
 
 
@@ -75,37 +76,40 @@ def _check_leakage(wf: PositionWavefunction) -> None:
         )
 
 
+def _kinetic_sum(p, kick, n):
+    """sum_k (p + k kick)^2 over k < n: the n kinetic steps, the k-th past k momentum kicks."""
+    return p * (p * n + kick * (n * (n - 1))) + kick * kick * ((n - 1) * n * (2 * n - 1) // 6)
+
+
 def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
                   config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
-    """Strang-split evolution under H = p^2/2m - F z for the pulse duration.
+    """Strang-split evolution under H = p^2/2m - F z for the pulse duration, in closed form.
 
-    Potential half-step, kinetic full step, potential half-step, repeated
-    over the requested substeps.  Both factors are exact phases, so norm is
-    conserved to rounding and the mean momentum gain is exactly F*tau
-    (Ehrenfest, exact for a linear potential).
+    A potential step exp(i F z dt) shifts p by F dt, so moving each one past the kinetic
+    steps to its left turns the k-th of the n kinetic steps into exp(-i (p + k F dt)^2 dt/2m).
+    The n substeps are then a half-step ramp, one kinetic phase (one FFT pair) and the ramp
+    exp(i F z (tau - dt/2)), with the loop's splitting error, its p-free O(dt^2) phase too.
+    Both factors are exact phases, so norm is conserved to rounding and the mean momentum
+    gain is exactly F*tau (Ehrenfest, exact for a linear potential).
     """
     if pulse.duration == 0.0:
         return wf
     _check_leakage(wf)
-    grid = wf.grid
-    dt = pulse.duration / pulse.substeps
-    # the largest exponents, refused before numpy builds the phases and warns
-    p_edge = max(abs(grid.p_min), abs(grid.p_max))
-    if not math.isfinite(p_edge * p_edge * dt / float(config.mass)):
-        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
-                             f"at mass={config.mass}, dt={dt}")
-    kinetic = np.exp(-0.5j * grid.p * grid.p * dt / config.mass)
-    if not math.isfinite(0.5 * pulse.force * float(np.max(np.abs(grid.z))) * dt):
+    grid, n, dt = wf.grid, int(pulse.substeps), pulse.duration / pulse.substeps
+    kick, last = pulse.force * dt, dt * (2 * n - 1)  # the last ramp is exp(0.5j F z last)
+    # the whole pulse's largest exponents, refused before numpy builds the phases and warns:
+    # the potential's first, to name a force that overflows, and 1/m, as numpy divides by it
+    if not math.isfinite(0.5 * pulse.force * float(np.max(np.abs(grid.z))) * last):
         raise ParameterError(f"non-finite amplitudes: potential phase F z dt/2 overflows "
-                             f"at force={pulse.force}, dt={dt}")
-    half_ramp = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
-    ramp = half_ramp * half_ramp
-    psi = wf.amplitudes * half_ramp
-    for step in range(pulse.substeps):
-        psi = grid.momentum_phase(psi, kinetic)
-        # merge adjacent potential half-steps except after the last one
-        psi *= ramp if step < pulse.substeps - 1 else half_ramp
-    # a non-finite value at any substep has spread to every node: refused here
+                             f"at force={pulse.force}, dt={dt}, substeps={n}")
+    p_edge = max(abs(grid.p_min), abs(grid.p_max))
+    if not math.isfinite(_kinetic_sum(p_edge, abs(kick), n) * dt * (1 / float(config.mass))):
+        raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
+                             f"at mass={config.mass}, dt={dt}, substeps={n}, force={pulse.force}")
+    half = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
+    kinetic = np.exp(-0.5j * _kinetic_sum(grid.p, kick, n) * dt / config.mass)
+    psi = grid.momentum_phase(wf.amplitudes * half, kinetic)
+    psi *= half if n == 1 else np.exp(0.5j * pulse.force * grid.z * last)
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)
     wp.check_kick(grid, (grid.z_to_p(wf.amplitudes),), (pulse.delta,))  # as shift refuses it

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -678,6 +679,29 @@ class TestFuzzFeasibility:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
+class TestFuzzPropagate:
+    """Any force, duration, mass and step count exit 0 or 3 with one line and no warning; an
+    accepted pulse prints no nan or inf.  A pulse is one FFT pair at any step count."""
+
+    extreme = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.8e308])
+    value = st.one_of(st.floats(), st.floats(0.0, 1.8e308), extreme)
+
+    @given(force=value, tau=value, mass=value, substeps=st.integers(1, splitstep.MAX_SUBSTEPS))
+    @settings(max_examples=300, deadline=None)
+    def test_pulse(self, force, tau, mass, substeps):
+        # a leading space makes argparse read "-1.0" as a value, not an option
+        argv = ["propagate", "--force", f" {force!r}", "--tau", f" {tau!r}",
+                "--mass", f" {mass!r}", "--substeps", str(substeps)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(argv)
+        assert code in (0, 3)
+        assert err.getvalue().count("\n") == (code == 3)
+        if code == 0:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
 class TestBec:
     def test_reference_run(self, capsys):
         assert run(["bec", "--t", "0.85", "--delta-a", "0.1",
@@ -798,6 +822,13 @@ REFUSED = [
      .replace("delta=0.2", "delta=0.001"),
      ["simulate", "{file}"], "line 4: recombine: unitarity violated"),
     ("propagate_mass_subnormal", None, ["propagate", "--mass", "1e-320"], "mass=1e-320"),
+    # each substep's phase fits, the whole pulse's overflows: refused before its one phase
+    ("propagate_pulse_phase_overflows", None,
+     ["propagate", "--mass", "1e-308", "--substeps", "1000000"],
+     "kinetic phase p^2 dt/m overflows at mass=1e-308"),
+    # p^2 dt/m fits, but numpy divides by m as times 1/m, which overflows: once a RuntimeWarning
+    ("propagate_mass_reciprocal_overflows", None,
+     ["propagate", "--mass", "1e-320", "--tau", "1e-300"], "kinetic phase p^2 dt/m overflows"),
     # once exit 0 with "mass = inf" and fidelity 1
     ("propagate_mass_infinite", None, ["propagate", "--mass", "inf"],
      "mass must be positive and finite, got inf"),

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qif import analytic, splitstep as ss, wavepacket as wp
+from qif import analytic, interferometer as mzi, splitstep as ss, wavepacket as wp
 from qif.errors import (AliasingError, BoundaryLeakError, GridMismatchError, ParameterError,
                         ZeroNormError)
 from qif.splitstep import ImpulsePulse, PropagationConfig
 from qif.wavepacket import GaussianParams, PositionWavefunction
+from test_fourier_identity import ref_apply_impulse
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,23 @@ class TestApplyImpulse:
             ss.apply_impulse(psi, ImpulsePulse(force=1.0, duration=0.1, substeps=4))
 
 
+class TestPropagateOracle:
+    """What `qif propagate` prints, against closed forms: the Strang product keeps the
+    p^2 tau/2m and p F tau^2/2m phases of the exact pulse at any substep count."""
+
+    @pytest.mark.parametrize("force, tau, substeps, mass", [
+        (1, 0.2, 64, 1e4), (0.1, 2, 128, 1), (1e-4, 2000, 256, 1e4), (0.5, 1, 7, 1),
+        (2, 0.5, 400, 0.5), (0.3, 0.5, 1, 2)])
+    def test_fidelity_and_mean_shift(self, psi0, force, tau, substeps, mass):
+        pulse = ImpulsePulse(force, tau, substeps)
+        after = ss.apply_impulse(psi0, pulse, PropagationConfig(mass))
+        a, b = tau / (2 * mass), force * tau ** 2 / (2 * mass)
+        fidelity = (1 + a * a) ** -0.25 * np.exp(-b * b / (4 * (1 + a * a)))
+        assert abs(ss.kick_fidelity(psi0, after, pulse.delta) - fidelity) <= 1e-15
+        shift = wp.mean_momentum(wp.to_momentum(after)) - wp.mean_momentum(wp.to_momentum(psi0))
+        assert abs(shift - force * tau) <= 1e-15  # the loop's rounding reached 3.1e-14
+
+
 class TestKickFidelity:
     def test_exact_shift_gives_one(self, psi0):
         shifted = PositionWavefunction(psi0.grid, psi0.amplitudes * np.exp(0.7j * psi0.grid.z))
@@ -199,6 +217,21 @@ class TestPipelineEquivalence:
         assert out_c.mean_p == pytest.approx(s.mean_c, abs=1e-4)
         assert out_d.probability == pytest.approx(s.p_d, abs=1e-4)
         assert out_d.mean_p == pytest.approx(s.mean_d, abs=1e-4)
+
+    def test_splitstep_arm_keeps_the_strang_constant_phase(self, gauss):
+        # arm B's p-free phase differs from the exact pulse's F^2 tau^3/6m by 3e-3 rad here
+        t, pulse, mass = 0.85, ImpulsePulse(force=1.0, duration=0.5, substeps=4), 0.1
+        got = ss.run_mzi_splitstep(gauss, t, pulse, PropagationConfig(mass))
+        grid = gauss.grid
+        state = mzi.split(gauss, mzi.BeamSplitterCoeffs(t))
+        arms = [ref_apply_impulse(grid, grid.p_to_z(path), arm, mass)  # the substep loop
+                for path, arm in ((state.path_a, ImpulsePulse(0.0, 0.5)), (state.path_b, pulse))]
+        expected = mzi.exit_ports(mzi.TwoPathState(grid, *map(grid.z_to_p, arms)))
+        for port, ref in zip(got, expected):
+            assert abs(port.probability - ref.probability) <= 1e-12
+            assert abs(port.mean_p - ref.mean_p) <= 1e-12
+            diff = port.wavefunction.amplitudes - ref.wavefunction.amplitudes
+            assert np.max(np.abs(diff)) <= 1e-12
 
     def test_free_arm_refuses_an_overflowing_kinetic_phase(self, gauss):
         # arm A's free evolution holds the same check as the kick, before numpy warns
