@@ -109,7 +109,7 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     half = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
     kinetic = np.exp(-0.5j * _kinetic_sum(grid.p, kick, n) * dt / config.mass)
     psi = grid.momentum_phase(wf.amplitudes * half, kinetic)
-    psi *= half if n == 1 else np.exp(0.5j * pulse.force * grid.z * last)
+    psi *= np.exp(0.5j * pulse.force * grid.z * last)
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)
     wp.check_kick(grid, (grid.z_to_p(wf.amplitudes),), (pulse.delta,))  # as shift refuses it

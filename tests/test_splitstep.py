@@ -111,8 +111,8 @@ class TestApplyImpulse:
         assert not np.any(out.amplitudes)
 
     def test_non_finite_substep_refused(self, psi0):
-        # dt / mass overflows, so every kinetic phase is nan: the check on the
-        # result still catches it, though no substep builds a wavefunction
+        # dt / mass overflows: the whole pulse's kinetic check, p_edge^2 tau (1/m),
+        # refuses mass=1e-320 before any phase array is built
         pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=4)
         with np.errstate(all="ignore"), pytest.raises(ParameterError,
                                                        match="non-finite amplitudes"):
