@@ -167,7 +167,8 @@ def cmd_bec(args) -> int:
     else:
         print(f"select A: P = {outcome.probability:.12g}, <p> = {outcome.mean_p:.12g}")
     if args.check_mzi:
-        out_c, _ = mzi.run_mzi(gauss, args.t, delta)
+        state = mzi.apply_kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(args.t)), delta)
+        out_c = mzi.port_stats(gauss.grid, mzi.recombine(state)[0], "C")  # run_mzi's port C
         raw = [o.wavefunction.amplitudes * (1.0 if o.is_dark else np.sqrt(o.probability))
                for o in (outcome, out_c)]  # a dark outcome already holds the raw amplitudes
         diff = np.max(np.abs(raw[0] - raw[1]))

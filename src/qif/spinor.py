@@ -9,7 +9,8 @@ implements the exit-port post-selection.
 
 The four-step protocol (pulse, kick, pi/2 pulse, inverse kick, select A)
 produces the same momentum wavefunction as the spatial interferometer's
-port C with delta = delta_b - delta_a and alpha = 0.
+port C with delta = delta_b - delta_a and alpha = 0.  Selection reads one
+state only, so the inverse kick acts on that state alone.
 """
 
 import numpy as np
@@ -41,16 +42,18 @@ def run_protocol(input_wf: MomentumWavefunction, t_coeff: float, delta_a: float,
                  delta_b: float, select: str = "A") -> PortOutcome:
     """Full pulse sequence starting from input_wf in |A>, any source run_mzi takes.
 
-    pulse(t) -> kick(delta_a, delta_b) -> pi/2 pulse -> kick(-delta_a,
-    -delta_b) -> select.  Selecting A reproduces port C of the spatial
+    pulse(t) -> kick(delta_a, delta_b) -> pi/2 pulse -> inverse kick of the
+    selected state alone -> select.  Selecting A reproduces port C of the spatial
     interferometer at delta = delta_b - delta_a, alpha = 0; selecting B
     yields the port-D wavefunction rigidly translated by -(delta_b -
-    delta_a) in momentum (same probability, shifted mean).
+    delta_a) in momentum (same probability, shifted mean).  Only the selected
+    state's inverse kick can wrap; a select other than A or B is refused before any kick.
     """
+    mzi._mode_field(select)  # refused before any kick
     grid = input_wf.grid
     state = TwoPathState(grid, input_wf.amplitudes, np.zeros(grid.n_points, dtype=complex))
     state = microwave_pulse(state, t_coeff)
     state = stern_gerlach(state, delta_a, delta_b)
     state = microwave_pulse(state, _SQRT1_2)
-    state = stern_gerlach(state, -delta_a, -delta_b)
+    state = mzi.kick(state, select, -delta_a if select == "A" else -delta_b)
     return mzi.select(state, select)

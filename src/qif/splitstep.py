@@ -112,7 +112,7 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
     psi *= np.exp(0.5j * pulse.force * grid.z * last)
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)
-    wp.check_kick(grid, (grid.z_to_p(wf.amplitudes),), (pulse.delta,))  # as shift refuses it
+    wp.check_kick(grid, (wf.momentum,), (pulse.delta,))  # as shift refuses it
     return out
 
 
@@ -133,7 +133,7 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
     """
     if before.grid != after.grid:
         raise GridMismatchError("fidelity requires a shared grid")
-    wp.check_kick(before.grid, (before.grid.z_to_p(before.amplitudes),), (delta,))
+    wp.check_kick(before.grid, (before.momentum,), (delta,))
     norms = wp.norm(before), wp.norm(after)
     if min(norms) < wp.DARK_THRESHOLD:
         raise ZeroNormError(f"norm {min(norms)} below dark-port threshold")

@@ -181,6 +181,10 @@ class MomentumWavefunction(_GridAmplitudes):
 class PositionWavefunction(_GridAmplitudes):
     """Complex amplitudes psi(z_j) on the conjugate grid of a GridSpec."""
 
+    @cached_property
+    def momentum(self) -> np.ndarray:  # z_to_p of the amplitudes, computed once per state
+        return _frozen(self.grid.z_to_p(self.amplitudes))
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -241,8 +245,8 @@ def to_position(wf: MomentumWavefunction) -> PositionWavefunction:
 
 
 def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
-    """Inverse of to_position (GridSpec.z_to_p)."""
-    return MomentumWavefunction(wf.grid, wf.grid.z_to_p(wf.amplitudes))
+    """Inverse of to_position (GridSpec.z_to_p), computed once per state."""
+    return MomentumWavefunction(wf.grid, wf.momentum)
 
 
 def check_kick(grid: GridSpec, rows, deltas) -> None:

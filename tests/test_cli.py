@@ -751,6 +751,66 @@ class TestBec:
         assert printed == f"{diff:.3e}"
 
 
+    def test_unselected_state_is_not_kicked_back(self, capsys):
+        # at t = 0.99, B's inverse kick of +5.52 would wrap 1.1e-12 of its norm, but only
+        # the selected state A is kicked back
+        t, delta = 0.99, 5.52 - -5.52
+        assert run(["bec", "--t", str(t), "--delta-a", "-5.52", "--delta-b", "5.52"]) == 0
+        captured = capsys.readouterr()
+        prob = float(captured.out.split("P = ")[1].split(",")[0])
+        mean = float(captured.out.split("<p> = ")[1].splitlines()[0])
+        oracle = analytic.closed_form_stats(t, delta)
+        assert prob == pytest.approx(oracle.p_c, abs=1e-9)
+        assert mean == pytest.approx(oracle.mean_c, abs=1e-9)
+        assert captured.err == ""
+
+    def test_selected_state_kick_back_that_wraps_is_refused(self, capsys):
+        assert run(["bec", "--t", "0.1", "--delta-a", "-5.52", "--delta-b", "5.52"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: delta=5.52 moves 1.14e-12 of the norm past the grid edge\n"
+        assert captured.out == ""
+
+
+class TestFuzzBecOracleCheck:
+    """Any bec kicks and t, and any oracle-check sample count and seed, exit 0, 2 or 3 with at
+    most one stderr line and no warning; an accepted run prints no nan or inf."""
+
+    extreme = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.8e308, -1.8e308])
+    # every finite double, subnormals and signed zeros among them, and values that run
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10.0, 10.0),
+                      extreme)
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        return code
+
+    @given(t=st.one_of(value, st.floats(0.0, 1.0)), delta_a=value, delta_b=value,
+           check_mzi=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bec(self, t, delta_a, delta_b, check_mzi):
+        # a leading space makes argparse read "-1.0" as a value, not an option
+        argv = ["bec", "--t", f" {t!r}", "--delta-a", f" {delta_a!r}",
+                "--delta-b", f" {delta_b!r}"] + ["--check-mzi"] * check_mzi
+        self._run(argv)
+
+    @given(samples=st.integers(-1, 20), seed=st.integers(-1, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_check(self, samples, seed):
+        code = self._run(["oracle-check", "--samples", str(samples), "--seed", str(seed)])
+        assert code == (3 if min(samples, seed) < 0 else 0)
+
 # inputs that once escaped main as a traceback, or were silently ignored or
 # wrapped; "{file}" stands for a circuit file holding the case's text
 REFUSED = [

@@ -5,6 +5,7 @@ import pytest
 
 from qif import interferometer as mzi
 from qif import spinor, wavepacket as wp
+from qif.errors import ParameterError
 from qif.interferometer import TwoPathState
 from qif.wavepacket import GaussianParams
 
@@ -154,3 +155,17 @@ class TestRunProtocol:
         out_a = spinor.run_protocol(gauss, 0.7, 0.2, 0.5, select="A")
         out_b = spinor.run_protocol(gauss, 0.7, 0.2, 0.5, select="B")
         assert out_a.probability + out_b.probability == pytest.approx(1.0, abs=1e-10)
+
+    def test_only_the_selected_state_is_kicked_back(self, gauss):
+        # at t = 0.1, A's inverse kick of +5.52 would wrap 1.1e-12 of its norm; selecting B
+        # never kicks A back, so the run gives port D's statistics translated by -delta
+        t, da, db = 0.1, -5.52, 5.52
+        delta = db - da
+        out = spinor.run_protocol(gauss, t, da, db, select="B")
+        assert out.probability == pytest.approx(0.5, abs=1e-9)
+        assert out.mean_p == pytest.approx(delta * (1 - t * t) - delta, abs=1e-9)
+
+    def test_unknown_select_is_refused_before_any_kick(self, gauss):
+        # a nan kick would be refused by the first kick: the label is refused first
+        with pytest.raises(ParameterError, match="mode must be A or B, got 'C'"):
+            spinor.run_protocol(gauss, 0.85, float("nan"), 0.3, select="C")
