@@ -160,6 +160,12 @@ def cmd_bec(args) -> int:
     gauss = wp.gaussian_init(wp.GaussianParams(), wp.default_grid(args.grid_n))
     outcome = spinor.run_protocol(gauss, args.t, args.delta_a, args.delta_b)
     delta = args.delta_b - args.delta_a
+    if args.check_mzi:  # computed before the first line, so a refused comparison prints none
+        state = mzi.apply_kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(args.t)), delta)
+        out_c = mzi.port_stats(gauss.grid, mzi.recombine(state)[0], "C")  # run_mzi's port C
+        raw = [o.wavefunction.amplitudes * (1.0 if o.is_dark else np.sqrt(o.probability))
+               for o in (outcome, out_c)]  # a dark outcome already holds the raw amplitudes
+        diff = np.max(np.abs(raw[0] - raw[1]))
     print(f"t = {args.t}, delta_a = {args.delta_a}, delta_b = {args.delta_b} "
           f"(effective delta = {delta:.12g})")
     if outcome.is_dark:
@@ -167,11 +173,6 @@ def cmd_bec(args) -> int:
     else:
         print(f"select A: P = {outcome.probability:.12g}, <p> = {outcome.mean_p:.12g}")
     if args.check_mzi:
-        state = mzi.apply_kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(args.t)), delta)
-        out_c = mzi.port_stats(gauss.grid, mzi.recombine(state)[0], "C")  # run_mzi's port C
-        raw = [o.wavefunction.amplitudes * (1.0 if o.is_dark else np.sqrt(o.probability))
-               for o in (outcome, out_c)]  # a dark outcome already holds the raw amplitudes
-        diff = np.max(np.abs(raw[0] - raw[1]))
         print(f"max nodewise |protocol - interferometer port C| = {diff:.3e}")
     return EXIT_OK
 

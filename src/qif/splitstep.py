@@ -108,7 +108,10 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
                              f"at mass={config.mass}, dt={dt}, substeps={n}, force={pulse.force}")
     half = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
     kinetic = np.exp(-0.5j * _kinetic_sum(grid.p, kick, n) * dt / config.mass)
-    psi = grid.momentum_phase(wf.amplitudes * half, kinetic)
+    psi = wf.amplitudes * half
+    grid.z_to_p(psi, psi)
+    psi *= kinetic
+    grid.p_to_z(psi, psi)
     psi *= np.exp(0.5j * pulse.force * grid.z * last)
     out = PositionWavefunction(grid, psi)
     _check_leakage(out)

@@ -112,7 +112,10 @@ class GridSpec:
 
         The cached signs and phases carry the grid offsets; z_to_p inverts it.  out may be phi.
         """
-        return self._unsigned_p_to_z(np.multiply(phi, self._signs, out=out))
+        chi = np.multiply(phi, self._signs, out=out)
+        np.fft.ifft(chi, norm="forward", out=chi)  # n * ifft(chi), exact as n = 2^m
+        chi *= self._z_factor
+        return chi
 
     def z_to_p(self, psi: np.ndarray, out=None) -> np.ndarray:
         """Inverse of p_to_z.  out may be psi."""
@@ -125,22 +128,6 @@ class GridSpec:
     def kick_ramp(self, delta: float) -> np.ndarray:
         """exp(i delta z), read-only.  Only the last (grid, delta) ramp is kept, off the grid."""
         return _last_kick_ramp(self, delta, np.copysign(1.0, delta))  # -0.0 == 0.0; ramps differ
-
-    def momentum_phase(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """p_to_z(z_to_p(psi) * phase), computed in psi, which it returns.
-
-        The exact (-1)^k that z_to_p ends and p_to_z starts with are left out.
-        """
-        psi *= self._p_ramp
-        np.fft.fft(psi, out=psi)
-        psi *= self._p_scale
-        psi *= phase
-        return self._unsigned_p_to_z(psi)
-
-    def _unsigned_p_to_z(self, chi: np.ndarray) -> np.ndarray:  # p_to_z(chi * (-1)^k), in chi
-        np.fft.ifft(chi, norm="forward", out=chi)  # n * ifft(chi), exact as n = 2^m
-        chi *= self._z_factor
-        return chi
 
 
 _last_grid = lru_cache(maxsize=1, typed=True)(GridSpec)  # called positionally: keyed on values

@@ -675,6 +675,7 @@ class TestFuzzFeasibility:
             code = run(argv)
         assert code in (0, 3)
         assert err.getvalue().count("\n") == (code == 3)
+        assert code == 0 or out.getvalue() == ""  # a refused run prints nothing
         if code == 0:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
@@ -698,6 +699,7 @@ class TestFuzzPropagate:
             code = run(argv)
         assert code in (0, 3)
         assert err.getvalue().count("\n") == (code == 3)
+        assert code == 0 or out.getvalue() == ""  # a refused run prints nothing
         if code == 0:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
@@ -770,6 +772,14 @@ class TestBec:
         assert captured.err == "error: delta=5.52 moves 1.14e-12 of the norm past the grid edge\n"
         assert captured.out == ""
 
+    def test_refused_check_mzi_prints_nothing(self, capsys):
+        # once printed the protocol's two lines before the comparison refused |delta| = 8.5
+        assert run(["bec", "--t", "0.85", "--delta-a", "-4", "--delta-b", "4.5",
+                    "--check-mzi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: |delta|=8.5 exceeds guard 8.0\n"
+        assert captured.out == ""
+
 
 class TestFuzzBecOracleCheck:
     """Any bec kicks and t, and any oracle-check sample count and seed, exit 0, 2 or 3 with at
@@ -791,6 +801,7 @@ class TestFuzzBecOracleCheck:
                 code = exc.code
         assert code in (0, 2, 3)
         assert err.getvalue().count("\n") <= 1
+        assert code == 0 or out.getvalue() == ""  # a refused run prints nothing
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
@@ -804,6 +815,15 @@ class TestFuzzBecOracleCheck:
         argv = ["bec", "--t", f" {t!r}", "--delta-a", f" {delta_a!r}",
                 "--delta-b", f" {delta_b!r}"] + ["--check-mzi"] * check_mzi
         self._run(argv)
+
+    kick = st.floats(-7.99, 7.99)
+
+    @given(t=st.floats(0.0, 1.0), delta_a=kick, delta_b=kick)
+    @settings(max_examples=100, deadline=None)
+    def test_bec_check_mzi(self, t, delta_a, delta_b):
+        """Kicks the protocol runs, whose difference the port-C comparison may refuse."""
+        self._run(["bec", "--t", repr(t), "--delta-a", f" {delta_a!r}",
+                   "--delta-b", f" {delta_b!r}", "--check-mzi"])
 
     @given(samples=st.integers(-1, 20), seed=st.integers(-1, 2 ** 32))
     @settings(max_examples=100, deadline=None)

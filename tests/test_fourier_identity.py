@@ -3,13 +3,17 @@
 Each reference below is the plain expression, with every phase factor built
 on the spot.  The comparisons are np.array_equal, not allclose: caching a
 factor or dropping a wrapper object must not move a single bit.  Where the
-code leaves out factors that cancel exactly (the split-step loop's (-1)^k
-pair, the n of the inverse FFT), the bytes are compared too, since
-np.array_equal does not see the sign of a zero.  The one exception is a pulse of
-more than one substep: apply_impulse multiplies the Strang substeps out in closed
-form, so it is held to the loop written out within 1e-12 of the peak, for packets
-that stay clear of the window edges, as every packet here does.
+code leaves out a factor that cancels exactly (the n of the inverse FFT), the
+bytes are compared too, since np.array_equal does not see the sign of a zero.
+The one exception is a pulse of more than one substep: apply_impulse multiplies
+the Strang substeps out in closed form, so it is held to the loop written out
+within 1e-12 of the peak, for packets that stay clear of the window edges, as
+every packet here does.  The last test pins the structure behind all of this:
+src/ holds one fft and one ifft call, in z_to_p and p_to_z.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,15 +92,6 @@ def test_shift(phi, delta):
     assert_same_bytes(wp.shift(grid, phi.amplitudes, delta), expected)
 
 
-def test_momentum_phase_is_the_signed_round_trip(phi):
-    grid = phi.grid
-    psi = wp.to_position(phi).amplitudes
-    phase = np.exp(-0.3j * grid.p * grid.p)
-    expected = grid.p_to_z(grid.z_to_p(psi) * phase)
-    work = psi.copy()
-    assert_same_bytes(grid.momentum_phase(work, phase), expected)
-
-
 def test_free_propagate(phi):
     grid, time, mass = phi.grid, 1.7, 3.0
     psi = wp.to_position(phi)
@@ -173,3 +168,27 @@ def test_first_shift_evaluates_exp_on_half_the_grid(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     wp.shift(grid, gauss.amplitudes, 0.1)
     assert 0 < sum(evaluated) <= grid.n_points + 2  # 2n with exp on every node
+
+
+def test_one_fft_pair_in_src():
+    """Every np.fft call in the package, by enclosing class and function: one fft in z_to_p
+    and one ifft in p_to_z, so a second composition of the transforms cannot come back."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "fft"):
+                calls.append((".".join(scope), func.attr))
+            if isinstance(child, (ast.Import, ast.ImportFrom)):  # no alias for np.fft either
+                assert all("fft" not in alias.name for alias in child.names)
+                assert "fft" not in (getattr(child, "module", None) or "")
+            visit(child, scope)
+
+    for path in sorted(Path(wp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert sorted(calls) == [("GridSpec.p_to_z", "ifft"), ("GridSpec.z_to_p", "fft")]

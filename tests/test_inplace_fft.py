@@ -3,7 +3,8 @@
 Each reference is the plain out-of-place expression, a new array for every product
 and every FFT, with the grid's cached factors as operands in the same order.  The
 in-place kernels must give the same bytes, must not write into a caller's array or a
-grid cache, and allocate one complex grid array per kick and none per split-step substep.
+grid cache, and allocate one complex grid array per kick; a pulse's peak allocation does
+not grow with its substep count.
 A pulse of more than one substep is multiplied out in closed form, so for packets clear
 of the window edges it matches the loop written out within 1e-12 of the peak, not to the bit.
 """
@@ -104,11 +105,6 @@ def test_z_to_p_into_its_input(grid):
         assert_same_bytes(psi, expected)
 
 
-def test_momentum_phase_returns_its_input(grid):
-    psi = ref_p_to_z(grid, packet(grid))
-    assert grid.momentum_phase(psi, np.exp(-0.3j * grid.p * grid.p)) is psi
-
-
 def test_read_only_inputs_and_caches_are_left_alone(grid):
     amp = packet(grid)
     psi = PositionWavefunction(grid, ref_p_to_z(grid, amp))
@@ -136,5 +132,8 @@ def test_one_array_per_kick_and_none_per_substep():
     grid = wp.default_grid(4096)
     amp, array = packet(grid), 16 * grid.n_points
     assert array <= peak_bytes(lambda: wp.shift(grid, amp, 1.1)) < 2 * array
-    psi, phase = ref_p_to_z(grid, amp), np.exp(-0.3j * grid.p * grid.p)
-    assert peak_bytes(lambda: grid.momentum_phase(psi, phase)) < array // 4
+    psi = PositionWavefunction(grid, ref_p_to_z(grid, amp))
+    # in whole arrays: small Python objects move the peak by a few bytes from call to call
+    pulse_arrays = {peak_bytes(lambda: ss.apply_impulse(psi, ImpulsePulse(2.0, 0.5, substeps)))
+                    // array for substeps in (1, 400)}
+    assert len(pulse_arrays) == 1 and max(pulse_arrays) < 6

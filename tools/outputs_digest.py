@@ -23,7 +23,6 @@ the fields that changed), and a count.  It exits 1 if any call differs, else 0.
 import argparse
 import hashlib
 import json
-import os
 import shlex
 import shutil
 import sys
@@ -43,7 +42,6 @@ def digest_lines(checkout: Path, seeds):
     """One JSON line per call of every workload at every seed, run against checkout."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
-    os.environ.pop("QIF_GRID_N", None)  # as bench/run.py: every workload on the default grid
     from qif import cli
     import run as bench_run
     from workloads import WORKLOADS
