@@ -72,11 +72,6 @@ class Instruction:
     line: int = field(default=0, compare=False)  # equality ignores source positions
 
 
-@dataclass(frozen=True)
-class CircuitProgram:
-    instructions: tuple
-
-
 def _parse_value(check, key, raw, line_no, column):
     if isinstance(check, tuple):
         if raw not in check:
@@ -146,8 +141,8 @@ def _validate(instructions):
             raise ParseError(f"{ins.name} requires {need} first", ins.line)
 
 
-def parse(text: str) -> CircuitProgram:
-    """Parse program text; raises ParseError with line/column on failure."""
+def parse(text: str) -> tuple:
+    """Parse program text into its instructions; raises ParseError with line/column on failure."""
     instructions = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0]
@@ -155,13 +150,13 @@ def parse(text: str) -> CircuitProgram:
             continue
         instructions.append(_parse_line(stripped, line_no))
     _validate(instructions)
-    return CircuitProgram(tuple(instructions))
+    return tuple(instructions)
 
 
-def serialize(program: CircuitProgram) -> str:
+def serialize(program: tuple) -> str:
     """Canonical text form; parse(serialize(p)) == p. Comments are not kept."""
     lines = []
-    for ins in program.instructions:
+    for ins in program:
         if ins.name == "report":
             lines.append(f"report {ins.args['kind']}")
         else:
@@ -189,7 +184,7 @@ class ExecutionResult:
         return "\n".join(self.lines)
 
 
-def execute(program: CircuitProgram, grid: wp.GridSpec) -> ExecutionResult:
+def execute(program: tuple, grid: wp.GridSpec) -> ExecutionResult:
     """Run a parsed program on grid.
 
     Deterministic: identical program and grid give bit-identical results.
@@ -201,7 +196,7 @@ def execute(program: CircuitProgram, grid: wp.GridSpec) -> ExecutionResult:
     state = None         # between bs and recombine
     kick_total = {"A": 0.0, "B": 0.0}
 
-    for ins in program.instructions:
+    for ins in program:
         try:
             if ins.name == "source":
                 wf = wp.gaussian_init(

@@ -116,11 +116,11 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    pulse = splitstep.ImpulsePulse(args.force, args.tau, args.substeps)  # before any array
+    # before any array, so a bad mass is named before a bad grid
+    pulse = splitstep.ImpulsePulse(args.force, args.tau, args.substeps, args.mass)
     grid = wp.default_grid(args.grid_n)
-    config = splitstep.PropagationConfig(mass=args.mass)
     before = wp.to_position(wp.gaussian_init(wp.GaussianParams(), grid))
-    after = splitstep.apply_impulse(before, pulse, config)
+    after = splitstep.apply_impulse(before, pulse)
     fidelity = splitstep.kick_fidelity(before, after, pulse.delta)
     shift_measured = wp.mean_momentum(wp.to_momentum(after)) - wp.mean_momentum(
         wp.to_momentum(before)

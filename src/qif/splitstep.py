@@ -33,11 +33,12 @@ MAX_SUBSTEPS = 10 ** 6
 
 @dataclass(frozen=True)
 class ImpulsePulse:
-    """Constant force F applied for a duration tau; imparts delta = F*tau."""
+    """Constant force F applied for a duration tau to a mass m; imparts delta = F*tau."""
 
     force: float
     duration: float
     substeps: int = 1
+    mass: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.force):
@@ -48,19 +49,12 @@ class ImpulsePulse:
             raise ParameterError(f"substeps must be an integer, got {self.substeps}")
         if not 1 <= self.substeps <= MAX_SUBSTEPS:
             raise ParameterError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps}")
+        if not 0 < self.mass < np.inf:
+            raise ParameterError(f"mass must be positive and finite, got {self.mass}")
 
     @property
     def delta(self) -> float:
         return self.force * self.duration
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.mass < np.inf:
-            raise ParameterError(f"mass must be positive and finite, got {self.mass}")
 
 
 def _check_leakage(wf: PositionWavefunction) -> None:
@@ -81,8 +75,7 @@ def _kinetic_sum(p, kick, n):
     return p * (p * n + kick * (n * (n - 1))) + kick * kick * ((n - 1) * n * (2 * n - 1) // 6)
 
 
-def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
-                  config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
+def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse) -> PositionWavefunction:
     """Strang-split evolution under H = p^2/2m - F z for the pulse duration, in closed form.
 
     A potential step exp(i F z dt) shifts p by F dt, so moving each one past the kinetic
@@ -103,14 +96,12 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
         raise ParameterError(f"non-finite amplitudes: potential phase F z dt/2 overflows "
                              f"at force={pulse.force}, dt={dt}, substeps={n}")
     p_edge = max(abs(grid.p_min), abs(grid.p_max))
-    if not math.isfinite(_kinetic_sum(p_edge, abs(kick), n) * dt * (1 / float(config.mass))):
+    if not math.isfinite(_kinetic_sum(p_edge, abs(kick), n) * dt * (1 / float(pulse.mass))):
         raise ParameterError(f"non-finite amplitudes: kinetic phase p^2 dt/m overflows "
-                             f"at mass={config.mass}, dt={dt}, substeps={n}, force={pulse.force}")
-    half = np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt / 2), V = -F z
-    kinetic = np.exp(-0.5j * _kinetic_sum(grid.p, kick, n) * dt / config.mass)
-    psi = wf.amplitudes * half
+                             f"at mass={pulse.mass}, dt={dt}, substeps={n}, force={pulse.force}")
+    psi = wf.amplitudes * np.exp(0.5j * pulse.force * grid.z * dt)  # exp(-i V dt/2), V = -F z
     grid.z_to_p(psi, psi)
-    psi *= kinetic
+    psi *= np.exp(-0.5j * _kinetic_sum(grid.p, kick, n) * dt / pulse.mass)
     grid.p_to_z(psi, psi)
     psi *= np.exp(0.5j * pulse.force * grid.z * last)
     out = PositionWavefunction(grid, psi)
@@ -120,9 +111,9 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse,
 
 
 def free_propagate(wf: PositionWavefunction, time: float,
-                   config: PropagationConfig = PropagationConfig()) -> PositionWavefunction:
+                   mass: float = 1.0) -> PositionWavefunction:
     """Exact kinetic evolution exp(-i p^2 t / 2m): a zero-force pulse of one substep."""
-    return apply_impulse(wf, ImpulsePulse(0.0, time), config)
+    return apply_impulse(wf, ImpulsePulse(0.0, time, 1, mass))
 
 
 def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
@@ -145,8 +136,7 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
     return float(abs(inner) / np.sqrt(norms[0] * norms[1]))
 
 
-def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePulse,
-                      config: PropagationConfig = PropagationConfig()):
+def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePulse):
     """Interferometer run where the arm-B kick is a real split-step pulse.
 
     Arm A undergoes free evolution for the pulse duration so that the
@@ -156,7 +146,7 @@ def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePu
     grid = input_wf.grid
     state = mzi.split(input_wf, mzi.BeamSplitterCoeffs(t))
     psi_a = free_propagate(PositionWavefunction(grid, grid.p_to_z(state.path_a)),
-                           pulse.duration, config)
-    psi_b = apply_impulse(PositionWavefunction(grid, grid.p_to_z(state.path_b)), pulse, config)
+                           pulse.duration, pulse.mass)
+    psi_b = apply_impulse(PositionWavefunction(grid, grid.p_to_z(state.path_b)), pulse)
     evolved = mzi.TwoPathState(grid, grid.z_to_p(psi_a.amplitudes), grid.z_to_p(psi_b.amplitudes))
     return mzi.exit_ports(evolved)

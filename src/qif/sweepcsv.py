@@ -110,12 +110,10 @@ def format_17g(x):
     inside, rest = np.flatnonzero(exact), np.flatnonzero(~exact)
     out = np.empty((len(x), 3), "<u8")
     out[inside] = _exact_words(x[inside]).T  # the exact path sees only what it formats
-    if rest.size:  # sorted by bit pattern, each run formatted once
-        bits = x[rest].view(np.int64)
-        order = np.argsort(bits, kind="stable")
-        first = np.concatenate(([True], np.diff(bits[order]) != 0))  # a wrapped diff is not 0
-        texts = [("%.17g" % v).encode() for v in x[rest[order[first]]].tolist()]
-        out[rest[order]] = _words(texts).T[np.cumsum(first) - 1]
+    if rest.size:  # once per distinct bit pattern, so -0.0 and each nan payload keep their text
+        bits, index = np.unique(x[rest].view(np.int64), return_inverse=True)
+        texts = [("%.17g" % v).encode() for v in bits.view(np.float64).tolist()]
+        out[rest] = _words(texts).T[index]
     return out.view(np.uint8)
 
 

@@ -26,7 +26,7 @@ from qif import analytic, circuitfile as cf, feasibility
 from qif import interferometer as mzi
 from qif import spinor, splitstep as ss, wavepacket as wp
 from qif.feasibility import ElectronScenario
-from qif.splitstep import ImpulsePulse, PropagationConfig
+from qif.splitstep import ImpulsePulse
 from qif.wavepacket import GaussianParams
 
 SEED = 20260823
@@ -143,13 +143,12 @@ def test_criterion_7_impulsive_force():
     gauss = wp.gaussian_init(GaussianParams(), grid)
     psi = wp.to_position(gauss)
     # dispersion time m / W^2 = 1e4; tau = 0.2 is 2e-5 of it
-    pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64)
-    config = PropagationConfig(mass=1e4)
-    after = ss.apply_impulse(psi, pulse, config)
+    pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64, mass=1e4)
+    after = ss.apply_impulse(psi, pulse)
     fidelity = ss.kick_fidelity(psi, after, 0.2)
     shift = wp.mean_momentum(wp.to_momentum(after))
 
-    out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse, config)
+    out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse)
     oracle = analytic.closed_form_stats(0.85, 0.2, 0.0)
     pipeline_dev = max(
         abs(out_c.probability - oracle.p_c), abs(out_c.mean_p - oracle.mean_c),

@@ -28,18 +28,18 @@ report moments
 class TestParse:
     def test_canonical_program(self):
         program = cf.parse(CANONICAL)
-        assert len(program.instructions) == 7
-        assert [i.name for i in program.instructions] == [
+        assert len(program) == 7
+        assert [i.name for i in program] == [
             "source", "bs", "kick", "phase", "recombine", "select", "report",
         ]
-        assert program.instructions[1].args == {"t": 0.85}
-        assert program.instructions[6].args == {"kind": "moments"}
+        assert program[1].args == {"t": 0.85}
+        assert program[6].args == {"kind": "moments"}
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nsource width=1 mean=0  # trailing\n\nbs t=0.5\n"
         program = cf.parse(text)
-        assert [i.name for i in program.instructions] == ["source", "bs"]
-        assert program.instructions[1].line == 5
+        assert [i.name for i in program] == ["source", "bs"]
+        assert program[1].line == 5
 
     def test_missing_source(self):
         with pytest.raises(cf.ParseError) as err:
@@ -130,7 +130,7 @@ class TestOrderingRules:
                 want = written_rules_error(names)
                 if want is None:
                     program = cf.parse(text)
-                    assert [ins.name for ins in program.instructions] == list(names)
+                    assert [ins.name for ins in program] == list(names)
                     continue
                 with pytest.raises(cf.ParseError) as err:
                     cf.parse(text)
@@ -167,7 +167,7 @@ class TestSerialize:
             f"phase path=A alpha={alpha!r}\n"
         )
         program = program_gen.assert_roundtrip(text)
-        assert program.instructions[1].args["t"] == t
+        assert program[1].args["t"] == t
 
 
 class TestMutations:

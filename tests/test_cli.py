@@ -455,6 +455,19 @@ class TestGridStats:
             grid_stats(np.array(t), np.array(delta), np.array(alpha), grid)
         assert str(got.value) == "phase alpha must be finite, got nan"
 
+    def test_stack_refusal_that_no_cell_repeats_is_raised(self, monkeypatch):
+        # fail closed: when every cell passes alone, the stack's own refusal still stands
+        split = mzi.split
+
+        def split_refusing_stacks(input_wf, bs, *out):
+            if np.ndim(bs.t) == 2:
+                raise QifError("stack refused")
+            return split(input_wf, bs, *out)
+
+        monkeypatch.setattr(mzi, "split", split_refusing_stacks)
+        with pytest.raises(QifError, match="^stack refused$"):
+            grid_stats(np.array([0.5, 0.8]), np.array([0.2, 0.4]), 0.0, wp.default_grid())
+
     def test_stack_arrays_are_bounded_and_do_not_outlive_the_call(self):
         grid = wp.default_grid(4096)
         gauss = wp.gaussian_init(wp.GaussianParams(), grid)
@@ -1230,10 +1243,10 @@ class TestFuzzSimulate:
                 code = run(["simulate", path])
         assert code in (0, 2, 3)
         program = circuitfile.parse(text) if code == 0 else None
-        if program is None or "recombine" not in {ins.name for ins in program.instructions}:
+        if program is None or "recombine" not in {ins.name for ins in program}:
             return
         # run it again with a conservation report, selecting a port if it did not
-        selects = any(ins.name == "select" for ins in program.instructions)
+        selects = any(ins.name == "select" for ins in program)
         checked = circuitfile.serialize(program) + ("" if selects else "select port=C\n")
         result = circuitfile.execute(circuitfile.parse(checked + "report conservation\n"),
                                      wp.default_grid())

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qif import splitstep as ss, wavepacket as wp
-from qif.splitstep import ImpulsePulse, PropagationConfig
+from qif.splitstep import ImpulsePulse
 from qif.wavepacket import GaussianParams, GridSpec, MomentumWavefunction, PositionWavefunction
 
 
@@ -95,7 +95,7 @@ def test_shift(phi, delta):
 def test_free_propagate(phi):
     grid, time, mass = phi.grid, 1.7, 3.0
     psi = wp.to_position(phi)
-    got = ss.free_propagate(psi, time, PropagationConfig(mass=mass)).amplitudes
+    got = ss.free_propagate(psi, time, mass=mass).amplitudes
     p = grid.p
     expected = ref_to_position(
         grid, ref_to_momentum(grid, psi.amplitudes) * np.exp(-0.5j * p * p * time / mass))
@@ -103,9 +103,9 @@ def test_free_propagate(phi):
 
 
 def test_apply_impulse_16_substeps(phi):
-    pulse = ImpulsePulse(force=1.3, duration=0.4, substeps=16)
+    pulse = ImpulsePulse(force=1.3, duration=0.4, substeps=16, mass=2.0)
     psi = wp.to_position(phi)
-    got = ss.apply_impulse(psi, pulse, PropagationConfig(mass=2.0)).amplitudes
+    got = ss.apply_impulse(psi, pulse).amplitudes
     assert_matches_loop(got, ref_apply_impulse(phi.grid, psi.amplitudes, pulse, 2.0))
 
 
@@ -113,10 +113,10 @@ def test_apply_impulse_16_substeps(phi):
 def test_apply_impulse_substep_counts(phi, substeps):
     """One substep is the loop's bytes, as free_propagate relies on; 400 is the benchmark's
     pulse, multiplied out."""
-    pulse = ImpulsePulse(force=0.9, duration=0.3, substeps=substeps)
+    pulse = ImpulsePulse(force=0.9, duration=0.3, substeps=substeps, mass=1e4)
     psi = wp.to_position(phi)
     before = psi.amplitudes.copy()
-    got = ss.apply_impulse(psi, pulse, PropagationConfig(mass=1e4)).amplitudes
+    got = ss.apply_impulse(psi, pulse).amplitudes
     expected = ref_apply_impulse(phi.grid, before, pulse, 1e4)
     (assert_same_bytes if substeps == 1 else assert_matches_loop)(got, expected)
     assert_same_bytes(psi.amplitudes, before)  # the pulse works on its own copy

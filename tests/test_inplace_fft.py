@@ -136,4 +136,4 @@ def test_one_array_per_kick_and_none_per_substep():
     # in whole arrays: small Python objects move the peak by a few bytes from call to call
     pulse_arrays = {peak_bytes(lambda: ss.apply_impulse(psi, ImpulsePulse(2.0, 0.5, substeps)))
                     // array for substeps in (1, 400)}
-    assert len(pulse_arrays) == 1 and max(pulse_arrays) < 6
+    assert len(pulse_arrays) == 1 and max(pulse_arrays) < 4

@@ -1,5 +1,6 @@
 """Split-step propagation and the impulsive-kick approximation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qif import analytic, interferometer as mzi, splitstep as ss, wavepacket as wp
 from qif.errors import (AliasingError, BoundaryLeakError, GridMismatchError, ParameterError,
                         ZeroNormError)
-from qif.splitstep import ImpulsePulse, PropagationConfig
+from qif.splitstep import ImpulsePulse
 from qif.wavepacket import GaussianParams, PositionWavefunction
 from test_fourier_identity import ref_apply_impulse
 
@@ -17,6 +18,12 @@ from test_fourier_identity import ref_apply_impulse
 def psi0():
     grid = wp.default_grid()
     return wp.to_position(wp.gaussian_init(GaussianParams(), grid))
+
+
+#: force, duration and mass of pulses refused at construction, one fault each
+PULSE_FAULTS = [(np.inf, 0.2, 1.0), (1.0, np.inf, 1.0), (1.0, np.nan, 1.0), (np.nan, 0.2, 1.0),
+                (1.0, -0.1, 1.0), (1.0, 0.2, 0.0), (1.0, 0.2, -1.0), (1.0, 0.2, np.inf),
+                (1.0, 0.2, np.nan)]
 
 
 def _position_std(psi):
@@ -34,7 +41,7 @@ class TestFreePropagate:
     def test_gaussian_spreading_law(self, psi0, time):
         # sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2), hbar = 1
         sigma0 = _position_std(psi0)
-        out = ss.free_propagate(psi0, time, PropagationConfig(mass=1.0))
+        out = ss.free_propagate(psi0, time, mass=1.0)
         expected = sigma0 * np.sqrt(1 + (time / (2 * sigma0 ** 2)) ** 2)
         assert _position_std(out) == pytest.approx(expected, abs=1e-6)
 
@@ -67,15 +74,15 @@ class TestApplyImpulse:
 
     def test_quasi_static_kick_keeps_form(self, psi0):
         # heavy particle: dispersion negligible over the pulse
-        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64)
-        out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
+        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64, mass=1e4)
+        out = ss.apply_impulse(psi0, pulse)
         assert ss.kick_fidelity(psi0, out, 0.2) >= 0.999
 
     def test_ehrenfest_mean_shift_exact(self, psi0):
         # linear potential: mean momentum gain is exactly F*tau at any tau
         for tau, substeps in ((0.2, 16), (50.0, 64), (2000.0, 256)):
-            pulse = ImpulsePulse(force=0.2 / tau, duration=tau, substeps=substeps)
-            out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
+            pulse = ImpulsePulse(force=0.2 / tau, duration=tau, substeps=substeps, mass=1e4)
+            out = ss.apply_impulse(psi0, pulse)
             gain = wp.mean_momentum(wp.to_momentum(out)) - wp.mean_momentum(
                 wp.to_momentum(psi0)
             )
@@ -84,24 +91,23 @@ class TestApplyImpulse:
     def test_long_pulse_deforms_packet(self, psi0):
         # tau comparable to the dispersion time m/W^2: same total kick, but
         # the packet no longer keeps its form
-        pulse = ImpulsePulse(force=0.2 / 2000.0, duration=2000.0, substeps=256)
-        out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
+        pulse = ImpulsePulse(force=0.2 / 2000.0, duration=2000.0, substeps=256, mass=1e4)
+        out = ss.apply_impulse(psi0, pulse)
         assert ss.kick_fidelity(psi0, out, 0.2) < 0.999
 
     def test_impulsive_limit_monotone(self, psi0):
-        config = PropagationConfig(mass=1.0)
         fidelities = []
         for tau in (2.0, 0.5, 0.1, 0.02):
-            pulse = ImpulsePulse(force=0.2 / tau, duration=tau, substeps=128)
-            out = ss.apply_impulse(psi0, pulse, config)
+            pulse = ImpulsePulse(force=0.2 / tau, duration=tau, substeps=128, mass=1.0)
+            out = ss.apply_impulse(psi0, pulse)
             fidelities.append(ss.kick_fidelity(psi0, out, 0.2))
         assert fidelities == sorted(fidelities)
         # deficit is O(tau^2): ~ tau^2 var(p^2) / 8 ~ 2.5e-5 at tau = 0.02
         assert fidelities[-1] > 0.9999
 
     def test_norm_conservation_many_steps(self, psi0):
-        pulse = ImpulsePulse(force=0.01, duration=10.0, substeps=10000)
-        out = ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e4))
+        pulse = ImpulsePulse(force=0.01, duration=10.0, substeps=10000, mass=1e4)
+        out = ss.apply_impulse(psi0, pulse)
         assert abs(wp.norm(out) - wp.norm(psi0)) <= 1e-9
 
     def test_zero_state_stays_zero(self, psi0):
@@ -113,16 +119,18 @@ class TestApplyImpulse:
     def test_non_finite_substep_refused(self, psi0):
         # dt / mass overflows: the whole pulse's kinetic check, p_edge^2 tau (1/m),
         # refuses mass=1e-320 before any phase array is built
-        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=4)
+        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=4, mass=1e-320)
         with np.errstate(all="ignore"), pytest.raises(ParameterError,
                                                        match="non-finite amplitudes"):
-            ss.apply_impulse(psi0, pulse, PropagationConfig(mass=1e-320))
+            ss.apply_impulse(psi0, pulse)
 
-    @pytest.mark.parametrize("force, duration", [(np.inf, 0.2), (1.0, np.inf), (1.0, np.nan),
-                                                 (np.nan, 0.2), (1.0, -0.1)])
-    def test_pulse_refuses_non_finite_or_negative(self, force, duration):
-        with pytest.raises(ParameterError, match="must be finite"):
-            ImpulsePulse(force=force, duration=duration)
+    @pytest.mark.parametrize("force, duration, mass", PULSE_FAULTS, ids=[
+        f"{f}-{d}" if m == 1.0 else f"mass={m}" for f, d, m in PULSE_FAULTS])
+    def test_pulse_refuses_non_finite_or_negative(self, force, duration, mass):
+        message = ("must be finite" if mass == 1.0
+                   else re.escape(f"mass must be positive and finite, got {mass}"))
+        with pytest.raises(ParameterError, match=message):
+            ImpulsePulse(force=force, duration=duration, mass=mass)
 
     @pytest.mark.parametrize("substeps", [2.5, 2.0, np.float64(3.0), "4"])
     def test_pulse_refuses_a_step_count_that_is_not_an_integer(self, substeps):
@@ -153,8 +161,8 @@ class TestPropagateOracle:
         (1, 0.2, 64, 1e4), (0.1, 2, 128, 1), (1e-4, 2000, 256, 1e4), (0.5, 1, 7, 1),
         (2, 0.5, 400, 0.5), (0.3, 0.5, 1, 2)])
     def test_fidelity_and_mean_shift(self, psi0, force, tau, substeps, mass):
-        pulse = ImpulsePulse(force, tau, substeps)
-        after = ss.apply_impulse(psi0, pulse, PropagationConfig(mass))
+        pulse = ImpulsePulse(force, tau, substeps, mass)
+        after = ss.apply_impulse(psi0, pulse)
         a, b = tau / (2 * mass), force * tau ** 2 / (2 * mass)
         fidelity = (1 + a * a) ** -0.25 * np.exp(-b * b / (4 * (1 + a * a)))
         assert abs(ss.kick_fidelity(psi0, after, pulse.delta) - fidelity) <= 1e-15
@@ -193,9 +201,9 @@ class TestKickFidelity:
             ss.kick_fidelity(before, before, 3.9)
         assert str(fidelity.value) == str(shifted.value)
         # the pulse that delivers the kick (19.5 * 0.2) meets the same guard
-        pulse, config = ImpulsePulse(19.5, 0.2, 64), PropagationConfig(1e4)
-        for run in (lambda: ss.apply_impulse(before, pulse, config),
-                    lambda: ss.run_mzi_splitstep(source, 0.5, pulse, config)):
+        pulse = ImpulsePulse(19.5, 0.2, 64, 1e4)
+        for run in (lambda: ss.apply_impulse(before, pulse),
+                    lambda: ss.run_mzi_splitstep(source, 0.5, pulse)):
             with pytest.raises(AliasingError) as pulsed:
                 run()
             assert str(pulsed.value) == ("delta=3.9000000000000004 moves 0.00153 of the norm "
@@ -210,8 +218,8 @@ class TestKickFidelity:
 
 class TestPipelineEquivalence:
     def test_splitstep_arm_matches_analytic(self, gauss):
-        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64)
-        out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse, PropagationConfig(mass=1e4))
+        pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64, mass=1e4)
+        out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse)
         s = analytic.closed_form_stats(0.85, 0.2, 0.0)
         assert out_c.probability == pytest.approx(s.p_c, abs=1e-4)
         assert out_c.mean_p == pytest.approx(s.mean_c, abs=1e-4)
@@ -220,8 +228,9 @@ class TestPipelineEquivalence:
 
     def test_splitstep_arm_keeps_the_strang_constant_phase(self, gauss):
         # arm B's p-free phase differs from the exact pulse's F^2 tau^3/6m by 3e-3 rad here
-        t, pulse, mass = 0.85, ImpulsePulse(force=1.0, duration=0.5, substeps=4), 0.1
-        got = ss.run_mzi_splitstep(gauss, t, pulse, PropagationConfig(mass))
+        t, mass = 0.85, 0.1
+        pulse = ImpulsePulse(force=1.0, duration=0.5, substeps=4, mass=mass)
+        got = ss.run_mzi_splitstep(gauss, t, pulse)
         grid = gauss.grid
         state = mzi.split(gauss, mzi.BeamSplitterCoeffs(t))
         arms = [ref_apply_impulse(grid, grid.p_to_z(path), arm, mass)  # the substep loop
@@ -239,5 +248,4 @@ class TestPipelineEquivalence:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=r"kinetic phase p\^2 dt/m overflows "
                                                      r"at mass=1e-307, dt=0.2"):
-                ss.run_mzi_splitstep(gauss, 0.8, ImpulsePulse(1, 0.2, 4),
-                                     PropagationConfig(mass=1e-307))
+                ss.run_mzi_splitstep(gauss, 0.8, ImpulsePulse(1, 0.2, 4, mass=1e-307))
