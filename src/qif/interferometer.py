@@ -114,7 +114,8 @@ def kick(state: TwoPathState, mode: str, delta, out=None) -> TwoPathState:
 
 
 def phase(state: TwoPathState, mode: str, alpha, out=None) -> TwoPathState:
-    """Multiply one mode by e^(i alpha), into out if given; alpha must be finite."""
+    """Multiply one mode by e^(i alpha), into out if given; alpha must be finite.  alpha may
+    be a column (a phase per stack row) or a p-row (a p-dependent phase such as e^(i p d))."""
     name = _mode_field(mode)
     if not wp.all_cells(np.isfinite(alpha)):  # refused before numpy builds e^(i alpha) and warns
         raise ParameterError(f"phase alpha must be finite, got {alpha}")

@@ -7,6 +7,10 @@ deforming it.  Symmetric (Strang) splitting is used, with the potential
 applied as an exact phase, so the only error is the second-order splitting
 error and unitarity is preserved to rounding.
 
+In an interferometer arm, against free flight in the other, a pulse is
+exactly the kick delta = F tau, the phase exp(i p d) of a displacement
+d = delta tau/2m and a constant phase: interferometer.kick and phase build it.
+
 No absorbing boundaries: runs are required to keep the packet away from
 the edges of the position window, and this is checked.
 """
@@ -17,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interferometer as mzi
 from . import wavepacket as wp
 from .errors import BoundaryLeakError, GridMismatchError, ParameterError, ZeroNormError
-from .wavepacket import MomentumWavefunction, PositionWavefunction
+from .wavepacket import PositionWavefunction
 
 #: Fraction of cells at each edge of the position window used for the
 #: leakage check.
@@ -112,7 +115,7 @@ def apply_impulse(wf: PositionWavefunction, pulse: ImpulsePulse) -> PositionWave
 
 def free_propagate(wf: PositionWavefunction, time: float,
                    mass: float = 1.0) -> PositionWavefunction:
-    """Exact kinetic evolution exp(-i p^2 t / 2m): a zero-force pulse of one substep."""
+    """Exact kinetic evolution exp(-i p^2 t / 2m), a zero-force pulse: a benchmark span only."""
     return apply_impulse(wf, ImpulsePulse(0.0, time, 1, mass))
 
 
@@ -135,18 +138,3 @@ def kick_fidelity(before: PositionWavefunction, after: PositionWavefunction,
     inner = np.sum(np.conj(target) * after.amplitudes) * before.grid.dz
     return float(abs(inner) / np.sqrt(norms[0] * norms[1]))
 
-
-def run_mzi_splitstep(input_wf: MomentumWavefunction, t: float, pulse: ImpulsePulse):
-    """Interferometer run where the arm-B kick is a real split-step pulse.
-
-    Arm A undergoes free evolution for the pulse duration so that the
-    kinetic phase common to both arms cancels; in the impulsive regime the
-    port statistics then match the idealized run with alpha = 0.
-    """
-    grid = input_wf.grid
-    state = mzi.split(input_wf, mzi.BeamSplitterCoeffs(t))
-    psi_a = free_propagate(PositionWavefunction(grid, grid.p_to_z(state.path_a)),
-                           pulse.duration, pulse.mass)
-    psi_b = apply_impulse(PositionWavefunction(grid, grid.p_to_z(state.path_b)), pulse)
-    evolved = mzi.TwoPathState(grid, grid.z_to_p(psi_a.amplitudes), grid.z_to_p(psi_b.amplitudes))
-    return mzi.exit_ports(evolved)

@@ -262,13 +262,17 @@ def shift(grid: GridSpec, amp: np.ndarray, delta, out=None) -> np.ndarray:
 
     Realized as the phase ramp exp(i delta z) in position space, which is exact for
     band-limited content and works for arbitrary delta; check_kick refuses a wrap.  A shift
-    by 0 returns amp itself, and a stack's row its row.  A stack of rows takes a column
-    delta, a kick per row; out (which may be amp) takes the result.
+    by 0 returns amp itself, and a stack's row its row.  A stack of rows takes one delta
+    for every row or a column delta, a kick per row; out (which may be amp) takes the result.
     """
-    deltas = np.ravel(delta).tolist()
+    deltas, rows = np.ravel(delta).tolist(), amp if amp.ndim == 2 else (amp,)
+    if len(deltas) != len(rows):
+        if len(deltas) != 1:
+            raise ParameterError(f"kick deltas must be 1 or one per row ({len(rows)}), "
+                                 f"got {len(deltas)}")
+        deltas *= len(rows)
     if not any(deltas):  # every kick is 0
         return amp
-    rows = amp if amp.ndim == 2 else (amp,)
     check_kick(grid, rows, deltas)
     kept = [(i, rows[i].copy()) for i, d in enumerate(deltas) if d == 0.0]
     psi = grid.p_to_z(amp, out)  # the kick's one new array unless out: later steps work in it

@@ -8,8 +8,9 @@ bytes are compared too, since np.array_equal does not see the sign of a zero.
 The one exception is a pulse of more than one substep: apply_impulse multiplies
 the Strang substeps out in closed form, so it is held to the loop written out
 within 1e-12 of the peak, for packets that stay clear of the window edges, as
-every packet here does.  The last test pins the structure behind all of this:
-src/ holds one fft and one ifft call, in z_to_p and p_to_z.
+every packet here does.  The last tests pin the structure behind all of this:
+src/ holds one fft and one ifft call, in z_to_p and p_to_z, and splitstep
+imports nothing of the package but wavepacket and errors.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qif import splitstep as ss, wavepacket as wp
+from qif import interferometer as mzi, splitstep as ss, wavepacket as wp
 from qif.splitstep import ImpulsePulse
 from qif.wavepacket import GaussianParams, GridSpec, MomentumWavefunction, PositionWavefunction
 
@@ -49,6 +50,16 @@ def ref_apply_impulse(grid, psi, pulse, mass):
         psi = ref_to_position(grid, phi * kinetic)
         psi = psi * (half_ramp * half_ramp if step < pulse.substeps - 1 else half_ramp)
     return psi
+
+
+def ref_mzi_splitstep(source, t, pulse):
+    """The interferometer with pulse in arm B and free flight for its duration in arm A, each
+    arm run through the substep loop: the two PortOutcomes a finite pulse gives."""
+    grid = source.grid
+    state = mzi.split(source, mzi.BeamSplitterCoeffs(t))
+    arms = [ref_apply_impulse(grid, grid.p_to_z(path), arm, pulse.mass) for path, arm in
+            ((state.path_a, ImpulsePulse(0.0, pulse.duration)), (state.path_b, pulse))]
+    return mzi.exit_ports(mzi.TwoPathState(grid, *map(grid.z_to_p, arms)))
 
 
 def assert_same_bytes(got, expected):
@@ -192,3 +203,16 @@ def test_one_fft_pair_in_src():
     for path in sorted(Path(wp.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), ())
     assert sorted(calls) == [("GridSpec.p_to_z", "ifft"), ("GridSpec.z_to_p", "fft")]
+
+
+def test_splitstep_imports_only_wavepacket_and_errors():
+    """A pulse needs the grid and the errors, not the interferometer it is measured in."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(ss.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x, from .x import y
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):  # no absolute qif import either
+            assert node.module.split(".")[0] != "qif"
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "qif" for alias in node.names)
+    assert imported == {"wavepacket", "errors"}

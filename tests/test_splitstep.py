@@ -11,7 +11,7 @@ from qif.errors import (AliasingError, BoundaryLeakError, GridMismatchError, Par
                         ZeroNormError)
 from qif.splitstep import ImpulsePulse
 from qif.wavepacket import GaussianParams, PositionWavefunction
-from test_fourier_identity import ref_apply_impulse
+from test_fourier_identity import ref_mzi_splitstep
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +202,9 @@ class TestKickFidelity:
         assert str(fidelity.value) == str(shifted.value)
         # the pulse that delivers the kick (19.5 * 0.2) meets the same guard
         pulse = ImpulsePulse(19.5, 0.2, 64, 1e4)
+        state = mzi.split(source, mzi.BeamSplitterCoeffs(0.5))
         for run in (lambda: ss.apply_impulse(before, pulse),
-                    lambda: ss.run_mzi_splitstep(source, 0.5, pulse)):
+                    lambda: mzi.kick(state, "B", pulse.delta)):  # the pulse in an interferometer
             with pytest.raises(AliasingError) as pulsed:
                 run()
             assert str(pulsed.value) == ("delta=3.9000000000000004 moves 0.00153 of the norm "
@@ -219,33 +220,36 @@ class TestKickFidelity:
 class TestPipelineEquivalence:
     def test_splitstep_arm_matches_analytic(self, gauss):
         pulse = ImpulsePulse(force=1.0, duration=0.2, substeps=64, mass=1e4)
-        out_c, out_d = ss.run_mzi_splitstep(gauss, 0.85, pulse)
+        out_c, out_d = ref_mzi_splitstep(gauss, 0.85, pulse)
         s = analytic.closed_form_stats(0.85, 0.2, 0.0)
         assert out_c.probability == pytest.approx(s.p_c, abs=1e-4)
         assert out_c.mean_p == pytest.approx(s.mean_c, abs=1e-4)
         assert out_d.probability == pytest.approx(s.p_d, abs=1e-4)
         assert out_d.mean_p == pytest.approx(s.mean_d, abs=1e-4)
 
-    def test_splitstep_arm_keeps_the_strang_constant_phase(self, gauss):
-        # arm B's p-free phase differs from the exact pulse's F^2 tau^3/6m by 3e-3 rad here
-        t, mass = 0.85, 0.1
-        pulse = ImpulsePulse(force=1.0, duration=0.5, substeps=4, mass=mass)
-        got = ss.run_mzi_splitstep(gauss, t, pulse)
+    def test_pulse_is_a_kick_a_displacement_and_a_phase(self, gauss, rng):
+        """Against arm A's free flight, arm B's pulse is the kick delta = F tau, the phase
+        e^(i p d) of a displacement d = delta tau/2m and the constant e^(-i theta'): theta' is
+        delta^2 tau/6m less the Strang error F^2 tau dt^2/24m.  Arm A's e^(-i p^2 tau/2m) is
+        common to both arms and drops out of P and <p>."""
         grid = gauss.grid
-        state = mzi.split(gauss, mzi.BeamSplitterCoeffs(t))
-        arms = [ref_apply_impulse(grid, grid.p_to_z(path), arm, mass)  # the substep loop
-                for path, arm in ((state.path_a, ImpulsePulse(0.0, 0.5)), (state.path_b, pulse))]
-        expected = mzi.exit_ports(mzi.TwoPathState(grid, *map(grid.z_to_p, arms)))
-        for port, ref in zip(got, expected):
-            assert abs(port.probability - ref.probability) <= 1e-12
-            assert abs(port.mean_p - ref.mean_p) <= 1e-12
-            diff = port.wavefunction.amplitudes - ref.wavefunction.amplitudes
-            assert np.max(np.abs(diff)) <= 1e-12
+        for _ in range(12):
+            t, pulse = rng.uniform(0.05, 0.95), ImpulsePulse(
+                rng.uniform(-3, 3), rng.uniform(0.01, 1), int(rng.integers(1, 65)),
+                10 ** rng.uniform(-0.5, 3))
+            delta, tau, mass = pulse.delta, pulse.duration, pulse.mass
+            strang = (pulse.force * tau / pulse.substeps) ** 2 * tau / (24 * mass)
+            theta = delta * delta * tau / (6 * mass) - strang
+            kicked = mzi.kick(mzi.split(gauss, mzi.BeamSplitterCoeffs(t)), "B", delta)
+            got = mzi.exit_ports(mzi.phase(kicked, "B", delta * tau / (2 * mass) * grid.p - theta))
+            for port, ref in zip(got, ref_mzi_splitstep(gauss, t, pulse)):
+                assert abs(port.probability - ref.probability) <= 1e-12, (t, pulse)
+                assert abs(port.mean_p - ref.mean_p) <= 1e-12, (t, pulse)
 
     def test_free_arm_refuses_an_overflowing_kinetic_phase(self, gauss):
-        # arm A's free evolution holds the same check as the kick, before numpy warns
+        # free flight holds the same check as the kick, before numpy warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=r"kinetic phase p\^2 dt/m overflows "
                                                      r"at mass=1e-307, dt=0.2"):
-                ss.run_mzi_splitstep(gauss, 0.8, ImpulsePulse(1, 0.2, 4, mass=1e-307))
+                ss.free_propagate(wp.to_position(gauss), 0.2, mass=1e-307)

@@ -173,6 +173,34 @@ class TestShift:
             wp.shift(grid, 4e-8 * packet, 7.9)  # norm 1.6e-15
         assert _norm(grid, wp.shift(grid, 3e-8 * packet, 7.9)) < wp.DARK_THRESHOLD
 
+    @pytest.mark.parametrize("delta", [0.5, [0.5], [[0.5]], [[0.5], [-0.3], [0.0]]],
+                             ids=["number", "list", "column_of_one", "column"])
+    def test_a_stack_takes_one_delta_or_a_column(self, grid, delta):
+        """One delta kicks every row, a column each row by its own; a row rounds as alone."""
+        rows = np.array([wp.gaussian_init(GaussianParams(mean=mu), grid).amplitudes
+                         for mu in (-1.0, 0.0, 1.5)])
+        state = mzi.kick(TwoPathState(grid, rows, rows), "B", np.asarray(delta))
+        for row, kicked, d in zip(rows, state.path_b, np.broadcast_to(np.ravel(delta), 3)):
+            assert kicked.tobytes() == wp.shift(grid, row, d).tobytes()
+        assert state.path_a is rows
+
+    def test_one_delta_is_guarded_on_every_row(self, grid):
+        rows = np.array([wp.gaussian_init(GaussianParams(mean=mu), grid).amplitudes
+                         for mu in (0.0, 9.0)])
+        with pytest.raises(AliasingError, match="^delta=7.9 moves .* past the grid edge$"):
+            wp.shift(grid, rows, 7.9)  # only the second row would wrap
+
+    @pytest.mark.parametrize("shape, delta", [((3,), [0.1, 0.2]), ((3,), [0.0, 0.0]),
+                                              ((3,), []), ((), [0.1, 0.2, 0.3])],
+                             ids=["two_for_3_rows", "two_zeros_for_3_rows", "none_for_3_rows",
+                                  "three_for_a_row"])
+    def test_a_delta_count_neither_one_nor_the_rows_refused(self, gauss, shape, delta):
+        amp = np.broadcast_to(gauss.amplitudes, shape + gauss.amplitudes.shape)
+        rows = shape[0] if shape else 1
+        with pytest.raises(ParameterError, match=rf"^kick deltas must be 1 or one per row "
+                                                 rf"\({rows}\), got {len(delta)}$"):
+            wp.shift(gauss.grid, amp, np.reshape(delta, (-1, 1)))
+
     def test_composition(self, gauss):
         grid = gauss.grid
         once = wp.shift(grid, wp.shift(grid, gauss.amplitudes, 0.3), 0.4)

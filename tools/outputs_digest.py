@@ -1,6 +1,6 @@
 """Digest every output of the benchmark workloads, one line per call, to compare two checkouts.
 
-    python3 tools/outputs_digest.py CHECKOUT OUT.json [--seeds 7 1234]
+    python3 tools/outputs_digest.py CHECKOUT OUT.json [--seeds 7 1234] [--compact]
     python3 tools/outputs_digest.py --compare OLD.json NEW.json
 
 Runs one pass of each workload in CHECKOUT/bench/workloads.py at each seed
@@ -15,9 +15,17 @@ lines and in a circuit's error prefix then read the same for both.  So run
 the tool for one checkout at a time.  It writes no bytecode, and nothing
 under bench/ or src/.
 
+``--compact`` writes a text file instead, with one line per call: its
+workload, seed, index, kind and exit code, and one 16-hex-digit hash over the
+four output digests.  Its ``# `` header names numpy's version and the SIMD
+targets numpy runs (``fingerprint``), on which the last bits of the outputs
+depend, and WORKDIR, whose path some outputs print.
+tests/outputs_digest_seed7.txt is such a file, for seed 7.
+
 ``--compare OLD.json NEW.json`` runs nothing: it prints each call whose line
 differs between two digest files (workload, seed, index, kind and argv, then
 the fields that changed), and a count.  It exits 1 if any call differs, else 0.
+Either file may be compact; then a call's kind, code and output hash are compared.
 """
 
 import argparse
@@ -67,13 +75,42 @@ def digest_lines(checkout: Path, seeds):
 
 #: What a digest line records of a call, beyond its key (workload, seed, call).
 FIELDS = ("kind", "argv", "code", "stdout", "stderr", "exc", "csv")
+#: What a compact line records: the last is one hash over the four output digests.
+COMPACT_FIELDS = ("kind", "code", "outputs")
+
+
+def _outputs(line) -> str:
+    return _sha256(json.dumps([line[f] for f in ("stdout", "stderr", "exc", "csv")]))[:16]
+
+
+def fingerprint():
+    """numpy's version and the SIMD targets it runs: its baseline and those found here."""
+    import numpy
+    simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
+    return [f"numpy {numpy.__version__}", " ".join(["cpu", *simd["baseline"], *simd["found"]])]
+
+
+def load(path: Path):
+    """{(workload, seed, call): line} of a digest file and its header lines, None if JSON."""
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("["):
+        return {(line["workload"], line["seed"], line["call"]): dict(line, outputs=_outputs(line))
+                for line in json.loads(text)}, None
+    lines, header = {}, []
+    for row in text.splitlines():
+        if row.startswith("# "):
+            header.append(row[2:])
+            continue
+        workload, seed, call, kind, code, outputs = row.split()
+        lines[workload, int(seed), int(call)] = {"kind": kind, "code": int(code),
+                                                 "outputs": outputs}
+    return lines, header
 
 
 def compare(old_path: Path, new_path: Path) -> int:
     """Print each call whose digest line differs between two files, then the count: 1 if any."""
-    old, new = ({(line["workload"], line["seed"], line["call"]): line
-                 for line in json.loads(path.read_text(encoding="utf-8"))}
-                for path in (old_path, new_path))
+    (old, old_header), (new, new_header) = load(old_path), load(new_path)
+    fields = FIELDS if old_header is None and new_header is None else COMPACT_FIELDS
     keys = list(old) + [key for key in new if key not in old]
     differ = 0
     for key in keys:
@@ -81,12 +118,14 @@ def compare(old_path: Path, new_path: Path) -> int:
         if a is None or b is None:
             changed = [f"only in {new_path if a is None else old_path}"]
         else:
-            changed = [field for field in FIELDS if a[field] != b[field]]
+            changed = [field for field in fields if a[field] != b[field]]
         if changed:
             differ += 1
             line = a or b
             print(f"{key[0]} seed {key[1]} call {key[2]} {line['kind']}: {', '.join(changed)}")
-            print(f"    {shlex.join(line['argv'])}")
+            argv = (b or a).get("argv") or line.get("argv")  # a compact line has none
+            if argv is not None:
+                print(f"    {shlex.join(argv)}")
     print(f"{differ} of {len(keys)} calls differ")
     return 1 if differ else 0
 
@@ -97,6 +136,8 @@ def main(argv=None) -> int:
                     help="a source checkout with src/qif and bench/")
     ap.add_argument("out", type=Path, nargs="?", help="the digest file to write")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 1234])
+    ap.add_argument("--compact", action="store_true",
+                    help="write one text line per call, under a numpy fingerprint")
     ap.add_argument("--compare", type=Path, nargs=2, metavar=("OLD.json", "NEW.json"),
                     help="compare two digest files instead of writing one")
     args = ap.parse_args(argv)
@@ -107,7 +148,14 @@ def main(argv=None) -> int:
     if args.out is None:
         ap.error("need CHECKOUT and OUT.json, or --compare OLD.json NEW.json")
     lines = digest_lines(args.checkout.resolve(), args.seeds)
-    args.out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    if args.compact:
+        header = ("workload seed call kind code outputs", *fingerprint(), f"workdir {WORKDIR}")
+        rows = [f"# {line}" for line in header]
+        rows += [f"{c['workload']} {c['seed']} {c['call']} {c['kind']} {c['code']} {_outputs(c)}"
+                 for c in map(json.loads, lines)]
+        args.out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    else:
+        args.out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
     print(f"{len(lines)} calls of {args.checkout} digested into {args.out}")
     return 0
 
