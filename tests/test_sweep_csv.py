@@ -50,6 +50,54 @@ def test_format_17g_is_percent_format_on_any_floats(values):
     assert formatted(values) == percent(values)
 
 
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+def _nan(bits):
+    """A quiet nan with the sign and payload bits of the 64-bit integer bits."""
+    return float(np.array([bits | 0x7FF8000000000000], np.uint64).view(np.float64)[0])
+
+
+# the exact path formats every value of IN_RANGE; % formats every value of OUT_OF_RANGE
+IN_RANGE = _signed(st.floats(1e-4, 1e16, exclude_max=True))
+OUT_OF_RANGE = st.one_of(
+    _signed(st.floats(0.0, 1e-4, exclude_max=True)),  # 0.0 and -0.0, subnormals, below 1e-4
+    _signed(st.floats(min_value=1e16)),  # from 1e16 up, and inf
+    st.integers(0, 2 ** 64 - 1).map(_nan))
+
+
+def _percent_bits(values):
+    """format_17g's texts of values and %'s, once the float64 array is seen to keep each
+    value's bits (a nan's sign and payload too)."""
+    x = np.asarray(values, dtype=np.float64)
+    assert x.view(np.uint64).tolist() == [np.float64(v).view(np.uint64) for v in values]
+    return formatted(x), percent(x)
+
+
+@given(st.lists(IN_RANGE, min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_format_17g_is_percent_format_when_every_value_is_in_range(values):
+    got, want = _percent_bits(values)
+    assert got == want
+
+
+@given(st.lists(OUT_OF_RANGE, min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_format_17g_is_percent_format_when_no_value_is_in_range(values):
+    got, want = _percent_bits(values)
+    assert got == want
+
+
+@given(st.tuples(st.lists(IN_RANGE, min_size=1, max_size=32),
+                 st.lists(OUT_OF_RANGE, min_size=1, max_size=32)).flatmap(
+    lambda kinds: st.permutations(kinds[0] + kinds[1])))
+@settings(max_examples=200, deadline=None)
+def test_format_17g_is_percent_format_on_mixed_values(values):
+    got, want = _percent_bits(values)
+    assert got == want
+
+
 def _digits(text):
     """The decimal exponent and the significant-digit count of a %.17g text."""
     value = Decimal(text)
@@ -138,8 +186,9 @@ def sweep(tmp_path, monkeypatch, argv):
 T_DARK = "0.7071067811865476"  # a balanced splitter: port C is dark at delta = 0
 # (t axis, delta axis, extra arguments); a grid sweep runs on a 1024-point grid
 CSV_CASES = {
-    # 41 x 50 = 2050 cells: two whole chunks of 819 cells and a partial third
-    "several_chunks": (["0.05", "0.95", "41"], ["0.01", "2", "50"], ["--alpha", "0.3"]),
+    # 97 x 100 = 9700 cells: two whole blocks of 4096 cells and a partial third of 1508,
+    # each formatted a column per call
+    "several_chunks": (["0.05", "0.95", "97"], ["0.01", "2", "100"], ["--alpha", "0.3"]),
     "dark_cells": (["0.5", T_DARK, "3"], ["0", "1", "3"], []),
     # linspace keeps the sign of -0.0 only on a descending axis
     "delta_axis_from_negative_zero": (["0.1", "0.9", "3"], ["-0.0", "-1.5", "4"], []),
@@ -176,3 +225,44 @@ def test_formatter_input_never_exceeds_the_chunk(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     assert max(sizes) <= sweepcsv.CSV_CHUNK
     assert sum(sizes) == 200 + 200 + 1 + 5 * 200 * 200  # each axis once, then the surfaces
+
+
+def _formatter_calls(tmp_path, monkeypatch, t, delta):
+    """The input of every format_17g call of an oracle sweep, in call order, and the
+    surfaces the sweep passed to the writer."""
+    calls, surfaces = [], []
+    real_format, real_write = sweepcsv.format_17g, sweepcsv.write_sweep_csv
+    monkeypatch.setattr(sweepcsv, "format_17g", lambda x: calls.append(x.copy()) or real_format(x))
+    monkeypatch.setattr(sweepcsv, "write_sweep_csv",
+                        lambda fh, *args: surfaces.extend(args[3]) or real_write(fh, *args))
+    argv = ["sweep", "--t", *t, "--delta", *delta, "--alpha", "0.3",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == 0
+    return calls, surfaces
+
+
+def test_each_formatter_call_on_a_large_surface_is_one_kind(tmp_path, capsys, monkeypatch):
+    # <p>_C keeps at least 1e-4 from zero on this surface, so each port column is in
+    # range; where it changes sign, its column's call also holds the cells by the change
+    calls, surfaces = _formatter_calls(tmp_path, monkeypatch, ["0.1", "0.9", "200"],
+                                       ["0.1", "2", "200"])
+    assert [len(x) for x in calls[:3]] == [200, 200, 1]  # the t and delta axes, and alpha
+    # ten blocks of up to CSV_CHUNK cells, a call per column of each
+    columns = [flat.ravel()[start:start + sweepcsv.CSV_CHUNK]
+               for start in range(0, 200 * 200, sweepcsv.CSV_CHUNK) for flat in surfaces]
+    assert len(calls[3:]) == len(columns) == 50
+    kinds = []
+    for x, column in zip(calls[3:], columns):
+        assert x.view(np.uint64).tolist() == column.view(np.uint64).tolist()
+        exact = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)
+        assert exact.all() or not exact.any()
+        kinds.append(bool(exact[0]))
+    assert kinds == [True, True, True, True, False] * 10  # the residual never is in range
+
+
+def test_a_small_surface_goes_to_the_formatter_in_one_call(tmp_path, capsys, monkeypatch):
+    calls, surfaces = _formatter_calls(tmp_path, monkeypatch, ["0.2", "0.8", "6"],
+                                       ["0.1", "1.5", "6"])
+    assert [len(x) for x in calls] == [6, 6, 1, 5 * 36]
+    column_major = np.concatenate([np.ravel(surface) for surface in surfaces])
+    assert calls[3].view(np.uint64).tolist() == column_major.view(np.uint64).tolist()

@@ -9,17 +9,19 @@ and writes OUT.json: a JSON list with one line per call.  A line holds the
 call's workload, seed, index, kind and argv, its exit code, and the SHA-256
 of its stdout, stderr, escaped exception and CSV (null where there is none).
 
-The inputs of every checkout are written to one work directory, WORKDIR,
-whose path does not depend on the checkout: the paths in argv, in ``wrote``
-lines and in a circuit's error prefix then read the same for both.  So run
-the tool for one checkout at a time.  It writes no bytecode, and nothing
-under bench/ or src/.
+Each workload's inputs are written to a private directory made by
+``tempfile.mkdtemp`` and removed after its calls.  argv is recorded with the
+``{dir}`` token bench/workloads.py writes for that directory, and before
+hashing, its path in stdout, stderr and the exception is replaced by
+``{dir}`` too: a ``wrote`` line or a circuit's error prefix then reads the
+same for any checkout, any ``TMPDIR`` and any run, and two runs at once share
+no files.  The tool writes no bytecode, and nothing under bench/ or src/.
 
 ``--compact`` writes a text file instead, with one line per call: its
 workload, seed, index, kind and exit code, and one 16-hex-digit hash over the
 four output digests.  Its ``# `` header names numpy's version and the SIMD
 targets numpy runs (``fingerprint``), on which the last bits of the outputs
-depend, and WORKDIR, whose path some outputs print.
+depend.
 tests/outputs_digest_seed7.txt is such a file, for seed 7.
 
 ``--compare OLD.json NEW.json`` runs nothing: it prints each call whose line
@@ -36,8 +38,6 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-
-WORKDIR = Path(tempfile.gettempdir()) / "qif-outputs-digest"
 
 
 def _sha256(data):
@@ -56,20 +56,22 @@ def digest_lines(checkout: Path, seeds):
     if Path(cli.__file__).resolve().parent != checkout / "src" / "qif":
         raise SystemExit(f"error: imported qif from {cli.__file__}, not {checkout / 'src'}")
     lines = []
-    try:
-        for workload in WORKLOADS:
-            for seed in seeds:
-                shutil.rmtree(WORKDIR, ignore_errors=True)
-                wl = bench_run.Workload(workload, seed, WORKDIR)
+    for workload in WORKLOADS:
+        for seed in seeds:
+            workdir = Path(tempfile.mkdtemp(prefix="qif-outputs-digest-"))
+            try:
+                wl = bench_run.Workload(workload, seed, workdir)
                 for i, (call, argv, csv_path) in enumerate(zip(wl.calls, wl.argv, wl.csv)):
                     outcome, _ = bench_run.run_call(cli, argv, csv_path)
+                    out, err, exc = (None if text is None else text.replace(str(workdir), "{dir}")
+                                     for text in (outcome.out, outcome.err, outcome.exc))
                     lines.append(json.dumps({
                         "workload": workload, "seed": seed, "call": i, "kind": call.kind,
-                        "argv": list(argv), "code": outcome.code,
-                        "stdout": _sha256(outcome.out), "stderr": _sha256(outcome.err),
-                        "exc": _sha256(outcome.exc), "csv": _sha256(outcome.csv)}))
-    finally:
-        shutil.rmtree(WORKDIR, ignore_errors=True)
+                        "argv": list(call.argv), "code": outcome.code,
+                        "stdout": _sha256(out), "stderr": _sha256(err),
+                        "exc": _sha256(exc), "csv": _sha256(outcome.csv)}))
+            finally:
+                shutil.rmtree(workdir, ignore_errors=True)
     return lines
 
 
@@ -149,7 +151,7 @@ def main(argv=None) -> int:
         ap.error("need CHECKOUT and OUT.json, or --compare OLD.json NEW.json")
     lines = digest_lines(args.checkout.resolve(), args.seeds)
     if args.compact:
-        header = ("workload seed call kind code outputs", *fingerprint(), f"workdir {WORKDIR}")
+        header = ("workload seed call kind code outputs", *fingerprint())
         rows = [f"# {line}" for line in header]
         rows += [f"{c['workload']} {c['seed']} {c['call']} {c['kind']} {c['code']} {_outputs(c)}"
                  for c in map(json.loads, lines)]
