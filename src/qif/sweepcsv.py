@@ -3,8 +3,13 @@
 format_17g writes each float64 as the bytes of "%.17g" % value, on 64-bit
 words in numpy; write_sweep_csv lays a sweep's surfaces out as CSV rows in
 blocks of CSV_CHUNK cells, formatting a block column by column, so that a
-formatter call on a large surface sees one kind of value.
+formatter call on a large surface sees one kind of value.  After a write of
+several blocks it hands the heap's free pages back to the OS (glibc's
+malloc_trim), so that a process that runs sweeps in a loop stays resident at
+what it holds, not at what the heap's layout left behind.
 """
+
+import ctypes
 
 import numpy as np
 
@@ -13,6 +18,13 @@ from .interferometer import PortStats
 CSV_HEADER = ",".join(("t", "delta", "alpha", *PortStats._fields, "residual"))
 #: Most values write_sweep_csv passes to format_17g at once: it bounds the writer's buffers.
 CSV_CHUNK = 4096
+
+
+try:  # glibc's malloc_trim(pad); other C libraries have none
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 def _split(a):
@@ -137,7 +149,8 @@ def write_sweep_csv(fh, ts, deltas, alpha, columns):
     The rows are laid out in blocks of up to CSV_CHUNK cells.  A block whose surface
     values fit in one CSV_CHUNK goes to format_17g in one call, column after column; a
     larger one goes a column per call, so that the port columns (the exact path) and
-    the residual (%) each reach the formatter as one kind of value.
+    the residual (%) each reach the formatter as one kind of value.  A write of more
+    than one block ends by returning the heap's free pages to the OS.
     """
     fh.write((CSV_HEADER + "\n").encode())
     heads = [np.concatenate([format_17g(v[i:i + CSV_CHUNK]) for i in range(0, len(v), CSV_CHUNK)])
@@ -160,3 +173,7 @@ def write_sweep_csv(fh, ts, deltas, alpha, columns):
             for j, column in enumerate(values):
                 rows[:, 3 + j, :24] = format_17g(column)
         fh.write(rows.tobytes().translate(None, b"\0"))
+    if size > CSV_CHUNK and _MALLOC_TRIM is not None:
+        # the blocks' freed buffers and the surfaces' temporaries sit in the heap's holes;
+        # returned, they no longer count towards the caller's resident size
+        _MALLOC_TRIM(0)

@@ -266,3 +266,28 @@ def test_a_small_surface_goes_to_the_formatter_in_one_call(tmp_path, capsys, mon
     assert [len(x) for x in calls] == [6, 6, 1, 5 * 36]
     column_major = np.concatenate([np.ravel(surface) for surface in surfaces])
     assert calls[3].view(np.uint64).tolist() == column_major.view(np.uint64).tolist()
+
+
+def _sweep_trims(tmp_path, monkeypatch, trim, steps):
+    """The CSV bytes of an oracle sweep of steps x steps cells, with _MALLOC_TRIM set to trim."""
+    monkeypatch.setattr(sweepcsv, "_MALLOC_TRIM", trim)
+    out = tmp_path / f"sweep-{steps}.csv"
+    argv = ["sweep", "--t", "0.1", "0.9", str(steps), "--delta", "0.1", "2", str(steps),
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    return out.read_bytes()
+
+
+def test_a_write_of_several_blocks_returns_the_free_heap_once(tmp_path, capsys, monkeypatch):
+    pads = []
+    _sweep_trims(tmp_path, monkeypatch, pads.append, 200)
+    assert pads == [0]
+    _sweep_trims(tmp_path, monkeypatch, pads.append, 64)  # 4096 cells: one block
+    assert pads == [0]
+
+
+def test_the_writer_needs_no_malloc_trim(tmp_path, capsys, monkeypatch):
+    # where the C library has no malloc_trim the bytes are the same, and nothing is trimmed
+    assert sweepcsv._MALLOC_TRIM is None or callable(sweepcsv._MALLOC_TRIM)
+    with_trim = _sweep_trims(tmp_path, monkeypatch, sweepcsv._MALLOC_TRIM, 200)
+    assert _sweep_trims(tmp_path, monkeypatch, None, 200) == with_trim
