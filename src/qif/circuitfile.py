@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import interferometer as mzi
 from . import wavepacket as wp
-from .errors import CircuitRuntimeError, ParameterError, QifError
+from .errors import CircuitRuntimeError, QifError
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -72,52 +72,58 @@ class Instruction:
     line: int = field(default=0, compare=False)  # equality ignores source positions
 
 
-def _parse_value(check, key, raw, line_no, column):
+def _token_error(message, line, line_no, i, skip=0):
+    """ParseError at the i-th token of line, skip characters in; it names the rest of the token."""
+    token = list(_TOKEN_RE.finditer(line))[i]
+    return ParseError(message, line_no, token.start() + 1 + skip, token.group()[skip:])
+
+
+def _parse_value(check, key, raw):
+    """The value raw of key; a refusal is a ValueError with its message."""
     if isinstance(check, tuple):
         if raw not in check:
-            raise ParseError(f"{key} must be {' or '.join(check)}", line_no, column, raw)
+            raise ValueError(f"{key} must be {' or '.join(check)}")
         return raw
     if not _NUMBER_RE.match(raw):
-        raise ParseError(f"malformed number for {key}: {raw!r}", line_no, column, raw)
+        raise ValueError(f"malformed number for {key}: {raw!r}")
     value = float(raw)
     if not math.isfinite(value):
-        raise ParseError(f"number out of range for {key}: {raw!r}", line_no, column, raw)
+        raise ValueError(f"number out of range for {key}: {raw!r}")
     if check is not None:
-        try:
-            check(value)
-        except ParameterError as exc:
-            raise ParseError(str(exc), line_no, column, raw) from None
+        check(value)  # its ParameterError is a ValueError
     return value
 
 
-def _parse_line(line, line_no):
-    tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-    name, name_col = tokens[0]
+def _parse_line(line, tokens, line_no):
+    name = tokens[0]  # str.split() splits at the whitespace that _TOKEN_RE's \S+ stops at
     if name not in _INSTRUCTIONS:
-        raise ParseError(f"unknown instruction {name!r}", line_no, name_col, name)
+        raise _token_error(f"unknown instruction {name!r}", line, line_no, 0)
     schema = _INSTRUCTIONS[name][2]
 
     if isinstance(schema, tuple):  # report: a single bare kind token
         if len(tokens) != 2:
-            raise ParseError("report takes exactly one kind", line_no, name_col, name)
-        kind, col = tokens[1]
-        if kind not in schema:
-            raise ParseError(f"report kind must be one of {', '.join(schema)}", line_no, col, kind)
-        return Instruction(name, {"kind": kind}, line_no)
+            raise _token_error("report takes exactly one kind", line, line_no, 0)
+        if tokens[1] not in schema:
+            raise _token_error(f"report kind must be one of {', '.join(schema)}",
+                               line, line_no, 1)
+        return Instruction(name, {"kind": tokens[1]}, line_no)
 
     args = {}
-    for raw, col in tokens[1:]:
-        if "=" not in raw:
-            raise ParseError(f"expected key=value, got {raw!r}", line_no, col, raw)
-        key, _, value = raw.partition("=")
+    for i, raw in enumerate(tokens[1:], 1):
+        key, eq, value = raw.partition("=")
+        if not eq:
+            raise _token_error(f"expected key=value, got {raw!r}", line, line_no, i)
         if key not in schema:
-            raise ParseError(f"unknown key {key!r} for {name}", line_no, col, raw)
+            raise _token_error(f"unknown key {key!r} for {name}", line, line_no, i)
         if key in args:
-            raise ParseError(f"duplicate key {key!r}", line_no, col, raw)
-        args[key] = _parse_value(schema[key], key, value, line_no, col + len(key) + 1)
-    missing = sorted(set(schema) - set(args))
-    if missing:
-        raise ParseError(f"missing key {missing[0]!r} for {name}", line_no, name_col, name)
+            raise _token_error(f"duplicate key {key!r}", line, line_no, i)
+        try:
+            args[key] = _parse_value(schema[key], key, value)
+        except ValueError as exc:
+            raise _token_error(str(exc), line, line_no, i, len(key) + 1) from None
+    if len(args) != len(schema):
+        missing = sorted(set(schema) - set(args))
+        raise _token_error(f"missing key {missing[0]!r} for {name}", line, line_no, 0)
     return Instruction(name, args, line_no)
 
 
@@ -145,10 +151,10 @@ def parse(text: str) -> tuple:
     """Parse program text into its instructions; raises ParseError with line/column on failure."""
     instructions = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0]
-        if not stripped.strip():
-            continue
-        instructions.append(_parse_line(stripped, line_no))
+        line = line.split("#", 1)[0]
+        tokens = line.split()
+        if tokens:
+            instructions.append(_parse_line(line, tokens, line_no))
     _validate(instructions)
     return tuple(instructions)
 

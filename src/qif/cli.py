@@ -39,7 +39,7 @@ MAX_SWEEP_CELLS = 10 ** 7
 
 
 def cmd_simulate(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
+    with open(args.file, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
         text = fh.read()
     program = circuitfile.parse(text)
     result = circuitfile.execute(program, wp.default_grid(args.grid_n))
@@ -180,7 +180,7 @@ def cmd_bec(args) -> int:
 def cmd_batch(args) -> int:
     worst = EXIT_OK
     with (contextlib.nullcontext(sys.stdin) if args.file == "-"
-          else open(args.file, encoding="utf-8")) as fh:
+          else open(args.file, encoding="utf-8-sig")) as fh:
         for number, line in enumerate(fh, 1):
             try:
                 argv = [] if line.lstrip().startswith("#") else shlex.split(line)

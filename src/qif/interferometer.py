@@ -18,7 +18,8 @@ conservation_residual writes the balance, and check_ports judges both
 invariants against their named limits, for one run or a whole surface.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +82,7 @@ class PortOutcome:
 
     @property
     def is_dark(self) -> bool:
-        return bool(np.isnan(self.mean_p))
+        return math.isnan(self.mean_p)
 
 
 class PortStats(NamedTuple):
@@ -108,9 +109,8 @@ def _mode_field(mode: str) -> str:
 
 def kick(state: TwoPathState, mode: str, delta, out=None) -> TwoPathState:
     """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given."""
-    name = _mode_field(mode)
-    amp = wp.shift(state.grid, getattr(state, name), delta, out)
-    return replace(state, **{name: amp})
+    amp = wp.shift(state.grid, getattr(state, _mode_field(mode)), delta, out)
+    return _with_mode(state, mode, amp)
 
 
 def phase(state: TwoPathState, mode: str, alpha, out=None) -> TwoPathState:
@@ -119,8 +119,20 @@ def phase(state: TwoPathState, mode: str, alpha, out=None) -> TwoPathState:
     name = _mode_field(mode)
     if not wp.all_cells(np.isfinite(alpha)):  # refused before numpy builds e^(i alpha) and warns
         raise ParameterError(f"phase alpha must be finite, got {alpha}")
-    e = np.exp(1j * alpha)  # stays on the left: x *= e computes x * e, which can round apart
-    return replace(state, **{name: np.multiply(e, getattr(state, name), out=out)})
+    # e stays on the left: x *= e computes x * e, which can round apart.  numpy's loop for a
+    # column is slow, so a column multiplies each row by its own scalar, which rounds alike.
+    e, amp = np.exp(1j * alpha), getattr(state, name)
+    if amp.ndim == 2 and e.shape == (len(amp), 1):
+        out = np.empty_like(amp) if out is None else out
+        for x, row, row_out in zip(e[:, 0], amp, out):
+            np.multiply(x, row, out=row_out)
+        return _with_mode(state, mode, out)
+    return _with_mode(state, mode, np.multiply(e, amp, out=out))
+
+
+def _with_mode(state: TwoPathState, mode: str, amp) -> TwoPathState:
+    return (TwoPathState(state.grid, amp, state.path_b) if mode == "A"
+            else TwoPathState(state.grid, state.path_a, amp))
 
 
 def select(state: TwoPathState, mode: str) -> PortOutcome:
@@ -179,14 +191,14 @@ def port_moments(grid: wp.GridSpec, raw: np.ndarray, out=(None, None)):
     row of raw; out takes the amplitudes and |raw|^2."""
     square = np.abs(raw, out=out[1])
     square **= 2
-    prob = np.sum(square, axis=-1) * grid.dp  # norm, as wavepacket.norm sums it
+    prob = square.sum(axis=-1) * grid.dp  # norm, as wavepacket.norm sums it
     bright = prob >= DARK_THRESHOLD
     if not wp.all_cells(bright):
         mean = np.where(bright, 0.0, np.nan)
         if bright.any():  # a stack's bright rows, on their own
             mean[bright] = port_moments(grid, raw[bright])[1]
         return prob, mean, raw
-    normalized = _divide(raw, np.sqrt(prob)[..., None], out[0])
+    normalized = _divide(raw, np.sqrt(prob)[..., None] if prob.ndim else np.sqrt(prob), out[0])
     return prob, wp.first_moment(grid, normalized, square), normalized
 
 
@@ -211,13 +223,12 @@ def check_ports(p_c, mean_c, p_d, mean_d, t, delta, mean_in=0.0,
     The checks fail closed: a nan sum or residual is refused.
     """
     residual = conservation_residual(p_c, mean_c, p_d, mean_d, t, delta, mean_in)
-    t, delta, p_sum, residual = np.broadcast_arrays(t, delta, np.add(p_c, p_d), residual)
-    not_unitary = ~(np.abs(p_sum - 1.0) <= UNITARITY_TOLERANCE)
-    unbalanced = ~(residual <= tolerance * np.maximum(1.0, np.abs(delta) / 100.0))
-    bad = np.flatnonzero(not_unitary | unbalanced)
-    if bad.size:
-        i = bad[0]
-        broken = "unitarity" if not_unitary.flat[i] else "conservation"
+    unitary = np.abs(np.add(p_c, p_d) - 1.0) <= UNITARITY_TOLERANCE
+    good = unitary & (residual <= tolerance * np.maximum(1.0, np.abs(delta) / 100.0))
+    if not wp.all_cells(good):  # t and delta are broadcast only to name the failing cell
+        t, delta, unitary, good = np.broadcast_arrays(t, delta, unitary, good)
+        i = np.argmin(good)
+        broken = "conservation" if unitary.flat[i] else "unitarity"
         raise QifError(f"{broken} violated at t={t.flat[i]}, delta={delta.flat[i]}")
     return residual
 

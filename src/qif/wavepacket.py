@@ -12,6 +12,7 @@ for arbitrary (non-grid-multiple) displacements as a linear phase ramp in
 position space.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -127,7 +128,7 @@ class GridSpec:
 
     def kick_ramp(self, delta: float) -> np.ndarray:
         """exp(i delta z), read-only.  Only the last (grid, delta) ramp is kept, off the grid."""
-        return _last_kick_ramp(self, delta, np.copysign(1.0, delta))  # -0.0 == 0.0; ramps differ
+        return _last_kick_ramp(self, delta, math.copysign(1.0, delta))  # -0.0 == 0.0; ramps differ
 
 
 _last_grid = lru_cache(maxsize=1, typed=True)(GridSpec)  # called positionally: keyed on values
@@ -154,7 +155,7 @@ class _GridAmplitudes:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.grid.n_points,):
             raise ParameterError("amplitude array does not match grid")
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.isfinite(amp.view(float)).all():
             raise ParameterError("non-finite amplitudes")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -201,14 +202,19 @@ def gaussian_init(params: GaussianParams, grid: GridSpec) -> MomentumWavefunctio
         )
     if grid.dp > w:
         raise GridTooNarrowError(f"grid step dp={grid.dp} does not resolve width {w}")
-    amp = np.pi ** -0.25 / np.sqrt(w) * np.exp(-0.5 * ((grid.p - mu) / w) ** 2)
-    return MomentumWavefunction(grid, amp.astype(complex))
+    x = grid.p - mu  # pi^(-1/4) W^(-1/2) exp(-0.5 ((p - mu) / W)^2), each step in place
+    x /= w
+    x **= 2
+    x *= -0.5
+    np.exp(x, out=x)
+    x *= np.pi ** -0.25 / np.sqrt(w)  # a real product rounds alike in either operand order
+    return MomentumWavefunction(grid, x.astype(complex))
 
 
 def norm(wf) -> float:
     """Integral of |amplitude|^2 over the grid (Riemann sum), in p or in z."""
     step = wf.grid.dp if isinstance(wf, MomentumWavefunction) else wf.grid.dz
-    return float(np.sum(np.abs(wf.amplitudes) ** 2) * step)
+    return float((np.abs(wf.amplitudes) ** 2).sum() * step)
 
 
 def mean_momentum(wf: MomentumWavefunction) -> float:
@@ -220,10 +226,10 @@ def first_moment(grid: GridSpec, amp: np.ndarray, out=None):
     """mean_momentum of each row of the amplitudes amp on grid, with |amp|^2 taken once, in out."""
     prob = np.abs(amp, out=out)
     prob **= 2
-    n = np.sum(prob, axis=-1) * grid.dp
+    n = prob.sum(axis=-1) * grid.dp
     if not all_cells(n >= DARK_THRESHOLD):
         raise ZeroNormError(f"norm {n} below dark-port threshold")
-    return np.sum(np.multiply(grid.p, prob, out=prob), axis=-1) * grid.dp / n
+    return np.multiply(grid.p, prob, out=prob).sum(axis=-1) * grid.dp / n
 
 
 def to_position(wf: MomentumWavefunction) -> PositionWavefunction:
@@ -244,12 +250,12 @@ def check_kick(grid: GridSpec, rows, deltas) -> None:
     (kicks of 8-9.5 W) require exit 3."""
     guard = (grid.p_max - grid.p_min) / 4
     for row, d in zip(rows, deltas):
-        if np.isnan(d):  # fails closed: nan compares false with any guard
+        if math.isnan(d):  # fails closed: nan compares false with any guard
             raise ParameterError(f"kick delta must be finite, got {d}")
         if not abs(d) < guard:
             raise AliasingError(f"|delta|={abs(d)} exceeds guard {guard}")
         # p + d is sorted, so the nodes that land outside are a prefix and a suffix
-        lo, hi = np.searchsorted(grid.p + d, (grid.p_min, grid.p_max))
+        lo, hi = (grid.p + d).searchsorted((grid.p_min, grid.p_max))
         wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
         total = np.vdot(row, row).real
         if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:

@@ -1,6 +1,7 @@
 """Circuit-description language: parsing, round trip, execution."""
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,56 @@ class TestMutations:
             cf.parse(text)
         except cf.ParseError:
             pass  # the only acceptable failure mode
+
+
+#: Every character that str.isspace() accepts and str.splitlines() does not split at.
+INTRA_LINE_SPACE = ("\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                    + "\u202f\u205f\u3000")
+
+
+def respaced(tokens, data):
+    """tokens joined by runs of intra-line space that Hypothesis draws, with margins."""
+    space = st.sampled_from(INTRA_LINE_SPACE)
+    gaps = [data.draw(st.text(space, min_size=1, max_size=3)) for _ in tokens[1:]]
+    margins = [data.draw(st.text(space, max_size=2)) for _ in range(2)]
+    return margins[0] + "".join(t + g for t, g in zip(tokens, gaps)) + tokens[-1] + margins[1]
+
+
+class TestIntraLineSpace:
+    def test_the_characters_are_every_space_a_line_keeps(self):
+        kept = [c for c in map(chr, range(0x110000))
+                if c.isspace() and len(f"a{c}b".splitlines()) == 1]
+        assert "".join(kept) == INTRA_LINE_SPACE
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_columns_name_the_token_under_any_separator(self, seed, data):
+        text = program_gen.random_program_text(np.random.default_rng(seed))
+        lines = text.splitlines()
+        spaced = [respaced(line.split(" "), data) for line in lines]
+        program = cf.parse("\n".join(spaced))
+        assert program == cf.parse(text)
+        assert [ins.line for ins in program] == [ins.line for ins in cf.parse(text)]
+
+        # one token of one instruction line made bad; the lines before it stay valid
+        i = data.draw(st.sampled_from([j for j, line in enumerate(lines) if line[0] != "#"]))
+        tokens = lines[i].split(" ")
+        k = data.draw(st.integers(0, len(tokens) - 1))
+        key, eq, value = tokens[k].partition("=")
+        how = data.draw(st.sampled_from(("value", "key", "bare"))) if k and eq else "word"
+        tokens[k] = {"word": "frobnicate" if k == 0 else "everything", "value": f"{key}=x.y",
+                     "key": f"zz={value}", "bare": key + value}[how]
+        spaced[i] = respaced(tokens, data)
+        with pytest.raises(cf.ParseError) as err:
+            cf.parse("\n".join(spaced))
+        assert err.value.line == i + 1
+        starts = {m.start() + 1: m.group() for m in re.finditer(r"\S+", spaced[i])}
+        if how == "value":  # a value error names the value after its key
+            assert err.value.token == "x.y"
+            assert starts[err.value.column - len(key) - 1] == f"{key}={err.value.token}"
+        else:
+            assert starts[err.value.column] == err.value.token == tokens[k]
+        assert list(starts.values())[k].endswith(err.value.token)
 
 
 class TestExecute:

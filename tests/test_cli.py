@@ -66,6 +66,23 @@ class TestSimulate:
         assert captured.err == f"{path}: line 2, column 6: expected key=value, got '0.5'\n"
         assert captured.out == ""
 
+    def test_byte_order_mark_starting_the_file_is_not_text(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.qif", tmp_path / "marked.qif"
+        plain.write_text(CANONICAL + "report conservation\n", encoding="utf-8")
+        marked.write_text(CANONICAL + "report conservation\n", encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert run(["simulate", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert run(["simulate", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_byte_order_mark_inside_the_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "late.qif"
+        path.write_text(CANONICAL.replace("kick", "\ufeffkick"), encoding="utf-8-sig")
+        assert run(["simulate", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"{path}: line 3, column 1: unknown instruction '\\ufeffkick'\n")
+
 
 class TestSweep:
     def _sweep(self, tmp_path, name, extra=(), t=(0.1, 0.9, 5), delta=(0.1, 1.9, 4)):
@@ -1175,6 +1192,19 @@ class TestBatch:
         assert run(["batch", "missing.batch"]) == 3
         assert capsys.readouterr() == (
             "", "error: [Errno 2] No such file or directory: 'missing.batch'\n")
+
+    def test_byte_order_mark_starting_the_file_is_not_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.qif").write_text(CANONICAL)
+        text = "simulate run.qif\nfeasibility --drift-m 2\nsimulate missing.qif\n"
+        Path("plain.batch").write_text(text, encoding="utf-8")
+        Path("marked.batch").write_text(text, encoding="utf-8-sig")
+        assert Path("marked.batch").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert run(["batch", "plain.batch"]) == 3
+        expected = capsys.readouterr()
+        assert expected.out.startswith("port C")
+        assert run(["batch", "marked.batch"]) == 3
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("argv", [["batch"], ["batch", "-h"], ["batch", "a", "zz"]],
                              ids=" ".join)
