@@ -1,14 +1,5 @@
 """Command-line interface.
 
-Subcommands:
-    simulate     run a .qif circuit file
-    sweep        t/delta parameter sweep to CSV (oracle or grid backend)
-    oracle-check compare closed forms against the grid on random parameters
-    propagate    split-step impulsive-kick demo
-    feasibility  SI-unit electron-scenario report
-    bec          internal-state protocol run
-    batch        run one of the commands above per line of a file
-
 Exit codes: 0 success, 2 circuit parse error, 3 runtime error.
 """
 
@@ -180,8 +171,10 @@ def cmd_bec(args) -> int:
 def cmd_batch(args) -> int:
     worst = EXIT_OK
     with (contextlib.nullcontext(sys.stdin) if args.file == "-"
-          else open(args.file, encoding="utf-8-sig")) as fh:
+          else open(args.file, encoding="utf-8")) as fh:
         for number, line in enumerate(fh, 1):
+            if number == 1:  # a byte-order mark starting the input is not text
+                line = line.removeprefix("\ufeff")
             try:
                 argv = [] if line.lstrip().startswith("#") else shlex.split(line)
                 if argv[:1] == ["batch"]:
@@ -204,14 +197,15 @@ _GRID_N = ("--grid-n", dict(type=int, default=wp.DEFAULT_N))
 #: Each subcommand's help, handler and arguments, in the order --help lists them.
 SUBCOMMANDS = {
     "simulate": ("run a .qif circuit file", cmd_simulate, (("file", {}), _GRID_N)),
-    "sweep": ("t/delta sweep to CSV", cmd_sweep, (
+    "sweep": ("t/delta parameter sweep to CSV (oracle or grid backend)", cmd_sweep, (
         ("--t", dict(nargs=3, type=float, required=True, metavar=("LO", "HI", "STEPS"))),
         ("--delta", dict(nargs=3, type=float, required=True, metavar=("LO", "HI", "STEPS"))),
         ("--alpha", dict(type=float, default=0.0)),
         ("--backend", dict(choices=("oracle", "grid"), default="oracle")),
         ("--out", dict(required=True)),
         _GRID_N)),
-    "oracle-check": ("closed forms vs grid on random parameters", cmd_oracle_check, (
+    "oracle-check": ("compare closed forms against the grid on random parameters",
+                     cmd_oracle_check, (
         ("--samples", dict(type=int, default=1000)),
         ("--seed", dict(type=int, required=True)),
         _GRID_N)),
@@ -221,7 +215,7 @@ SUBCOMMANDS = {
         ("--substeps", dict(type=int, default=64)),
         ("--mass", dict(type=float, default=1e4)),
         _GRID_N)),
-    "feasibility": ("electron-scenario SI report", cmd_feasibility, (
+    "feasibility": ("SI-unit electron-scenario report", cmd_feasibility, (
         ("--energy-kev", dict(type=float, default=6.0)),
         ("--slit-um", dict(type=float, default=1.5)),
         ("--drift-m", dict(type=float, default=1.0)),
@@ -235,7 +229,7 @@ SUBCOMMANDS = {
         ("--check-mzi", dict(action="store_true",
                              help="also compare against the spatial-interferometer run")),
         _GRID_N)),
-    "batch": ("one qif command per line of a file", cmd_batch, (
+    "batch": ("run one of the commands above per line of a file", cmd_batch, (
         ("file", dict(help="one argv per line in shell quoting, '-' for stdin; blank and # lines "
                       "are skipped. Lines share the grid of the last --grid-n only.")),)),
 }
@@ -246,36 +240,31 @@ SUBCOMMANDS = {
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-def _add_arguments(parser, name) -> argparse.ArgumentParser:
-    parser._negative_number_matcher = _NEGATIVE_NUMBER  # private; 3.11 has no public setting
-    for flag, kwargs in SUBCOMMANDS[name][2]:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=SUBCOMMANDS[name][1], command=name)
-    return parser
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of a subcommand's exact name, "qif <name>"; else the full qif parser.
+    """The "qif <name>" subparser of a subcommand's exact name; else the full qif parser.
 
     The full parser answers everything else (no argument, -h, an unknown or
     abbreviated name) and, through parse_args, every unrecognized argument.
-    Each parser is built once per process and shared, with its defaults (func
+    The tree is built once per process and shared, with its defaults (func
     among them) fixed when it is built: do not modify it.
     """
-    return _build_parser(command if command in SUBCOMMANDS else None)
+    parsers = _build_parser()
+    return parsers.get(command, parsers[None])
 
 
-@functools.lru_cache(maxsize=None)  # keyed on a subcommand's name or None: at most one each
-def _build_parser(command) -> argparse.ArgumentParser:
-    if command is not None:
-        return _add_arguments(argparse.ArgumentParser(prog=f"qif {command}"), command)
+@functools.cache  # one tree per process: the full parser, then a subparser per subcommand
+def _build_parser() -> dict:
     parser = argparse.ArgumentParser(prog="qif", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
+    for name, (help_text, func, arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            subparser.add_argument(flag, **kwargs)
+        subparser.set_defaults(func=func, command=name)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER  # private; 3.11 has no public setting
+    return {None: parser, **sub.choices}
 
 
 def parse_args(argv) -> argparse.Namespace:

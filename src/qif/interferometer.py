@@ -54,8 +54,7 @@ class BeamSplitterCoeffs:
         return np.sqrt(1.0 - self.t * self.t)
 
 
-@dataclass(frozen=True)
-class TwoPathState:
+class TwoPathState(NamedTuple):
     """Momentum amplitudes of modes A and B on one grid.
 
     The modes are interferometer arms or internal atomic states, each a row or a
@@ -67,8 +66,7 @@ class TwoPathState:
     path_b: np.ndarray
 
 
-@dataclass(frozen=True)
-class PortOutcome:
+class PortOutcome(NamedTuple):
     """Post-selection result at one exit port.
 
     mean_p is nan for a dark port (probability below threshold), where the

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, CSV output."""
 
+import argparse
 import functools
 import io
 import os
@@ -1109,7 +1110,36 @@ class TestParserText:
         cached = cli._build_parser.cache_info().currsize
         for i in range(50):
             assert real(f"unknown-{i}") is real("simul") is real() is real(None)
-        assert cli._build_parser.cache_info().currsize == cached <= len(cli.SUBCOMMANDS) + 1
+        assert cli._build_parser.cache_info().currsize == cached == 1
+
+
+class TestParserTree:
+    """One argparse tree per process: the full parser and a subparser per subcommand."""
+
+    def test_first_call_builds_the_tree_and_later_calls_none(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda parser, *a, **kw: built.append(1) or init(parser, *a, **kw))
+        cli._build_parser.cache_clear()
+        assert run(["feasibility"]) == 0
+        assert len(built) == 1 + len(cli.SUBCOMMANDS)
+        built.clear()
+        for argv in VALID_ARGV.values():
+            run(argv)
+        for argv in (["frobnicate"], ["-h"], ["feasibility", "zz"]):
+            _parser_exit(run, argv)
+        assert built == []
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_describes_each_subcommand_once(self, flag, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse may wrap a help line at a hyphen
+        out, _, code = _parser_exit(run, [flag])
+        text = " ".join(out.split())
+        assert code == 0
+        for help_text, _, _ in cli.SUBCOMMANDS.values():
+            assert text.count(help_text) == 1, help_text
+        assert "Exit codes: 0 success, 2 circuit parse error, 3 runtime error." in text
 
 
 EXAMPLES = REFERENCE.with_name("examples.batch")
@@ -1205,6 +1235,29 @@ class TestBatch:
         assert expected.out.startswith("port C")
         assert run(["batch", "marked.batch"]) == 3
         assert capsys.readouterr() == expected
+
+    def test_byte_order_mark_starting_the_stream_is_not_text(self):
+        lines = "feasibility --drift-m 2\n"
+        qif = [sys.executable, "-m", "qif.cli", "batch", "-"]
+        plain, marked = (subprocess.run(qif, input=(mark + lines).encode(), env=fresh_env(),
+                                        capture_output=True, timeout=120)
+                         for mark in ("", "\ufeff"))
+        assert plain.returncode == 0 and plain.stdout.startswith(b"electron speed")
+        assert (marked.stdout, marked.stderr, marked.returncode) == (
+            plain.stdout, plain.stderr, plain.returncode)
+
+    def test_byte_order_mark_on_stdin_in_process(self, monkeypatch, capsys):
+        def batch(text):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            return run(["batch", "-"]), capsys.readouterr()
+
+        expected = batch("feasibility --drift-m 2\n")
+        assert expected[0] == 0 and expected[1].out.startswith("electron speed")
+        assert batch("\ufefffeasibility --drift-m 2\n") == expected
+        # a mark that does not start the input is still refused
+        for text in ("\ufeff\ufefffeasibility\n", "feasibility\n\ufefffeasibility\n"):
+            code, (_, err) = batch(text)
+            assert code == 2 and "invalid choice: '\\ufefffeasibility'" in err
 
     @pytest.mark.parametrize("argv", [["batch"], ["batch", "-h"], ["batch", "a", "zz"]],
                              ids=" ".join)
