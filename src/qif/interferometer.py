@@ -105,9 +105,10 @@ def _mode_field(mode: str) -> str:
     return _MODE_FIELDS[mode]
 
 
-def kick(state: TwoPathState, mode: str, delta, out=None) -> TwoPathState:
-    """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given."""
-    amp = wp.shift(state.grid, getattr(state, _mode_field(mode)), delta, out)
+def kick(state: TwoPathState, mode: str, delta, out=None, image=None) -> TwoPathState:
+    """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given;
+    image is the mode's wavepacket.position_image if it is made already."""
+    amp = wp.shift(state.grid, getattr(state, _mode_field(mode)), delta, out, image)
     return _with_mode(state, mode, amp)
 
 
@@ -122,7 +123,8 @@ def phase(state: TwoPathState, mode: str, alpha, out=None) -> TwoPathState:
     e, amp = np.exp(1j * alpha), getattr(state, name)
     if amp.ndim == 2 and e.shape == (len(amp), 1):
         out = np.empty_like(amp) if out is None else out
-        for x, row, row_out in zip(e[:, 0], amp, out):
+        rows = list(amp)  # in place, a row is its own output: numpy runs two views of it slower
+        for x, row, row_out in zip(e[:, 0], rows, rows if out is amp else out):
             np.multiply(x, row, out=row_out)
         return _with_mode(state, mode, out)
     return _with_mode(state, mode, np.multiply(e, amp, out=out))
@@ -138,9 +140,10 @@ def select(state: TwoPathState, mode: str) -> PortOutcome:
     return port_stats(state.grid, getattr(state, _mode_field(mode)), mode)
 
 
-def apply_kick(state: TwoPathState, delta, alpha=0.0, out=None) -> TwoPathState:
-    """Impulsive kick in arm B: shift by delta and multiply by e^(i alpha), into out if given."""
-    return phase(kick(state, "B", delta, out), "B", alpha, out)
+def apply_kick(state: TwoPathState, delta, alpha=0.0, out=None, image=None) -> TwoPathState:
+    """Impulsive kick in arm B: shift by delta and multiply by e^(i alpha), into out if given;
+    image as for kick."""
+    return phase(kick(state, "B", delta, out, image), "B", alpha, out)
 
 
 def recombine(state: TwoPathState, out=(None, None, None)):
@@ -243,31 +246,90 @@ STACK_BYTES = 6 * 4096 * 16
 def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats:
     """run_mzi's P and <p> at each cell of broadcast t, delta, alpha, as analytic.stats_grid.
 
-    Cells run in stacks of rows, in stable delta order so one kick ramp serves a delta
-    column.  A step is one ufunc or FFT call a stack, with run_mzi's operands in its
-    order, so each row rounds as its cell; numpy's FFT of a stack costs about 30% less
-    a row at n = 4096.  Two traps: numpy's AVX-512 complex multiply is not operand-
-    symmetric, and x *= e computes x * e, so phase keeps e on the left; and a stack
-    array is past glibc's 128 KiB mmap threshold, so the work arrays are made once a
-    call (made per stack, they cost 30 times the page faults and ran 11% slower).
-    A stack that refuses defers to a t-major run_mzi loop: its first refusal is raised.
+    Cells run in stacks of rows, a step being one ufunc or FFT call a stack, with run_mzi's
+    operands in its order, so each row rounds as its cell; numpy's FFT of a stack costs
+    about 30% less a row at n = 4096.  A row holds cells of one t (see _blocks), so a block
+    of rows splits once and, if it has several steps, takes arm B to position space once
+    (wavepacket.position_image): each step is then its cells' kicks from that image, whose
+    cells share a delta on a surface and so one kick ramp.  Two traps: numpy's AVX-512
+    complex multiply is not operand-symmetric, and x *= e computes x * e, so phase keeps e
+    on the left; and a stack array is past glibc's 128 KiB mmap threshold, so the complex
+    work arrays are made once a call, in one allocation (made per stack, they cost 30
+    times the page faults and ran 11% slower; the image and the kick buffer made apart
+    cost 300 page faults a 6 x 6 sweep).  A block that refuses defers to a t-major
+    run_mzi loop: its first refusal is raised.
     """
     grid = input_wf.grid
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
     stats = np.empty((4, t.size))
     height = max(1, min(t.size, STACK_BYTES // (16 * grid.n_points)))
-    arm_a, arm_b, work = np.empty((3, height, grid.n_points), dtype=complex)
+    blocks = _blocks(t, delta, height)
+    several = any(len(steps) > 1 for steps in blocks)  # then arm B and its image outlive a step
+    arm_a, arm_b, work, *held = np.empty((3 + 2 * several, height, grid.n_points), dtype=complex)
     square = np.empty((height, grid.n_points))
-    order = np.argsort(delta, axis=None, kind="stable")
-    for cells in np.split(order, range(height, t.size, height)):
-        a, b, w, sq = (x[:cells.size] for x in (arm_a, arm_b, work, square))
-        tk, dk, ak = (x.flat[cells][:, None] for x in (t, delta, alpha))
-        try:
-            state = apply_kick(split(input_wf, BeamSplitterCoeffs(tk), (a, b)), dk, ak, b)
-        except QifError:
-            for i in range(t.size):
-                run_mzi(input_wf, t.flat[i], delta.flat[i], alpha.flat[i])
-            raise
-        for port, raw in enumerate(recombine(state, (b, w, a))):
-            stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
+    try:  # only split and the kicks refuse
+        for steps in blocks:
+            rows = steps[0].size
+            a, b, w, sq = (x[:rows] for x in (arm_a, arm_b, work, square))
+            tk = t.flat[steps[0]][:, None]
+            split(input_wf, BeamSplitterCoeffs(tk), (a, b))
+            out, image = b, None  # a lone step kicks in place
+            if len(steps) > 1:
+                out, image = held[1][:rows], wp.position_image(grid, b, held[0][:rows])
+            for k, cells in enumerate(steps):
+                if cells.size < rows:  # a later step's live rows lead the block; one view
+                    rows = cells.size  # each, as numpy is quicker when an operand is its output
+                    a, b, w, sq, out = (x[:rows] for x in (a, b, w, sq, out))
+                    image = (image[0][:rows], image[1][:rows])
+                if k:  # split's arm A again: the step before wrote over it
+                    np.multiply(np.asarray(tk[:rows], complex), input_wf.amplitudes, out=a)
+                dk, ak = (x.flat[cells][:, None] for x in (delta, alpha))
+                state = apply_kick(TwoPathState(grid, a, b), dk, ak, out, image)
+                for port, raw in enumerate(recombine(state, (out, w, a))):
+                    stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
+    except QifError:
+        for i in range(t.size):
+            run_mzi(input_wf, t.flat[i], delta.flat[i], alpha.flat[i])
+        raise
     return PortStats(*stats.reshape((4,) + t.shape))
+
+
+def _blocks(t, delta, height):
+    """The flat cells of broadcast t and delta as blocks of at most height rows, each block a
+    list of steps: the cells of its live rows, one a row, rows in order.
+
+    A row's cells share a t, told apart by its bits (-0.0 is not 0.0), and lie in stable
+    delta order, its k-th cell in step k.  Distinct t fill the rows in stable delta order.
+    A repeated t gets as many rows as lets the stacks stay full and deals its cells over them
+    round-robin, so a surface's step shares one delta.  Rows go longest first, so the live
+    rows of a step lead its block.
+    """
+    order = np.argsort(delta, axis=None, kind="stable")
+    by_value = np.sort(t, axis=None)
+    if (by_value[1:] != by_value[:-1]).all():  # no t repeats: a step a block
+        return [[order[i:i + height]] for i in range(0, order.size, height)]
+    keys = t.flat[order]
+    keys = keys.view((np.void, keys.itemsize))
+    by_t = np.argsort(keys, kind="stable")
+    new_t = np.flatnonzero(keys[by_t[1:]] != keys[by_t[:-1]]) + 1
+    order = order[by_t]  # a t's cells together
+    sizes = np.diff(new_t, prepend=0, append=order.size)
+    # a t takes min(its cells, per) rows, per the most that keeps them within height (or 1):
+    # with the j fewest-celled t a row a cell, the rest can take (height - their cells) // rest
+    fewest = np.sort(sizes)
+    most = (height - np.cumsum(fewest) + fewest) // (sizes.size - np.arange(sizes.size))
+    per = np.minimum(sizes, max(1, np.minimum(fewest, most).max()))
+    k = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in its t
+    dealt = np.repeat(per, sizes)
+    row, step = np.repeat(np.cumsum(per) - per, sizes) + k % dealt, k // dealt
+    length = np.bincount(row)
+    place = np.empty_like(length)
+    place[np.argsort(-length, kind="stable")] = np.arange(length.size)
+    block, slot = np.divmod(place[row], height)
+    by_step = np.lexsort((slot, step, block))
+    block, step = block[by_step], step[by_step]
+    cut = np.flatnonzero((np.diff(block) != 0) | (np.diff(step) != 0)) + 1
+    blocks = [[] for _ in range(block[-1] + 1)]
+    for b, cells in zip(block[np.r_[0, cut]], np.split(order[by_step], cut)):
+        blocks[b].append(cells)
+    return blocks

@@ -49,3 +49,83 @@ def test_bound_verdicts():
     spread = [1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]  # IQR 1 on a median 1.5
     assert bench_pairs.bound_verdict(PARENT, spread, "lower", 0.25) == "unresolved"
     assert bench_pairs.bound_verdict(spread, [0.5] * 10, "lower", 0.25) == "within"
+
+
+@pytest.fixture()
+def checkouts(tmp_path):
+    """Two checkout directories; only the change's BENCHMARK.json is read."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (new / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    return old, new
+
+
+def fake_runs(monkeypatch, checkouts, values):
+    """run_once answers with values[workload][side] in turn: (call_p50_ms, failed) per run."""
+    sides = dict(zip(checkouts, ("old", "new")))
+    served = []
+
+    def run_once(checkout, workload, args):
+        side = sides[checkout]
+        p50, failed = values[workload][side][sum(s == (workload, side) for s in served)]
+        served.append((workload, side))
+        return {"attempted": 10, "failed": failed,
+                "metrics": {"call_p50_ms": {"value": p50, "unit": "ms"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return served
+
+
+def pairs_argv(checkouts, *workloads, claim=None):
+    argv = [str(checkouts[0]), str(checkouts[1]), "--seed", "5", "--pairs", "10"]
+    for workload in workloads:
+        argv += ["--workload", workload]
+    return argv + (["--claim", claim] if claim else [])
+
+
+def test_each_workload_is_judged_in_its_own_block(monkeypatch, checkouts, capsys):
+    served = fake_runs(monkeypatch, checkouts, {
+        "grid_batch": {"old": [(x, 0) for x in PARENT], "new": [(x - 0.1, 0) for x in PARENT]},
+        "oneshot": {"old": [(x, 1) for x in PARENT], "new": [(x * 1.01, 1) for x in PARENT]},
+    })
+    argv = pairs_argv(checkouts, "grid_batch", "oneshot", claim="call_p50_ms")
+    assert bench_pairs.main(argv) == 0
+    assert served[:20] == [("grid_batch", side) for side in ("old", "new", "new", "old") * 5]
+    assert served[20:] == [("oneshot", side) for side in ("old", "new", "new", "old") * 5]
+    blocks = [line for line in capsys.readouterr().out.splitlines() if " seed 5, " in line]
+    assert [line.split()[0] for line in blocks] == ["grid_batch", "oneshot"]
+
+
+def test_the_claim_is_judged_on_the_first_workload_only(monkeypatch, checkouts, capsys):
+    fake_runs(monkeypatch, checkouts, {
+        "grid_batch": {"old": [(x, 0) for x in PARENT], "new": [(x - 0.1, 0) for x in PARENT]},
+        "oneshot": {"old": [(x, 0) for x in PARENT], "new": [(x, 0) for x in PARENT]},
+    })
+    assert bench_pairs.main(pairs_argv(checkouts, "grid_batch", "oneshot",
+                                       claim="call_p50_ms")) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  call_p50_ms")]
+    assert "claim met: 10/10 pairs won" in verdicts[0]
+    assert verdicts[1].endswith("; within bound 0.25")
+
+
+@pytest.mark.parametrize("second", [
+    {"old": [(x, 0) for x in PARENT], "new": [(x * 1.3, 0) for x in PARENT]},  # OUTSIDE
+    {"old": [(x, 0) for x in PARENT], "new": [(x, 1) for x in PARENT]},  # more calls fail
+], ids=["outside_a_bound", "failed_share"])
+def test_a_failing_later_workload_fails_the_command(monkeypatch, checkouts, second):
+    fake_runs(monkeypatch, checkouts, {
+        "grid_batch": {"old": [(x, 0) for x in PARENT], "new": [(x - 0.1, 0) for x in PARENT]},
+        "sweep_oracle": second,
+    })
+    assert bench_pairs.main(pairs_argv(checkouts, "grid_batch", "sweep_oracle",
+                                       claim="call_p50_ms")) == 1
+
+
+def test_a_claim_not_met_fails_the_command(monkeypatch, checkouts):
+    unchanged = {"grid_batch": {"old": [(x, 0) for x in PARENT], "new": [(x, 0) for x in PARENT]}}
+    fake_runs(monkeypatch, checkouts, unchanged)
+    assert bench_pairs.main(pairs_argv(checkouts, "grid_batch", claim="call_p50_ms")) == 1
+    fake_runs(monkeypatch, checkouts, unchanged)
+    assert bench_pairs.main(pairs_argv(checkouts, "grid_batch")) == 0

@@ -486,6 +486,75 @@ class TestGridStats:
         with pytest.raises(QifError, match="^stack refused$"):
             grid_stats(np.array([0.5, 0.8]), np.array([0.2, 0.4]), 0.0, wp.default_grid())
 
+    # a row holds cells of one t: blocks of t rows, each kicked from its position image
+    @pytest.mark.parametrize("t, delta", [
+        ((0.1, 0.95, 13), (0.05, 2.0, 4)),  # blocks of 6, 6 and 1 t rows
+        ((0.3, 0.3, 1), (-2.0, 2.0, 20)),   # one t, dealt over the stack's rows
+        ((0.1, 0.95, 9), (0.5, 0.5, 1)),    # one delta: every block has one step
+        ((0.5, 0.5, 6), (-1.0, 2.0, 7)),    # a t axis of one repeated value
+    ], ids=["13x4", "1x20", "9x1", "repeated_t_axis"])
+    def test_surfaces_in_blocks_of_t_rows(self, t, delta):
+        self.assert_same_bytes(*_surface(t, delta), 0.7)
+
+    def test_random_cells_with_repeated_t_and_duplicated_cells(self):
+        rng = np.random.default_rng(23)
+        t = rng.choice([0.2, 0.45, T_DARK, 0.9], size=40)
+        t[:12] = rng.uniform(0.05, 0.95, 12)  # t of their own
+        delta = rng.choice(np.linspace(-1.5, 1.5, 7), size=40)
+        alpha = rng.uniform(0.0, 2.0 * np.pi, 40)
+        for x in (t, delta, alpha):
+            x[30:] = x[5:15]  # ten cells twice
+        self.assert_same_bytes(t, delta, alpha)
+
+    def test_negative_zero_t_beside_zero(self):
+        t, delta = np.meshgrid([0.0, -0.0, 0.6, -0.0], [0.3, -0.8, 1.4], indexing="ij")
+        self.assert_same_bytes(t, delta, 0.4)
+        t, delta = _surface((0.0, 0.9, 7), (-0.8, 1.4, 3))
+        t[-1] = -0.0  # a row of its own, in the second block
+        self.assert_same_bytes(t, delta, -0.0)
+
+    def test_signed_zero_kicks_inside_a_block_of_several_steps(self):
+        # 3 t of 5 cells, 2 rows each: a step of zero kicks only, then zero and nonzero mixed
+        t, delta = np.meshgrid([0.3, 0.8, T_DARK], [-0.0, 0.0, 0.5, -0.0, 1.1], indexing="ij")
+        got = self.assert_same_bytes(t, delta, 0.0)
+        assert np.isnan(got.mean_c[2, [0, 1, 3]]).all()
+        self.assert_same_bytes(t, delta, np.array([0.0, 1.3, -0.0, 2.0, 0.5]))
+
+    @pytest.fixture()
+    def transforms(self, monkeypatch):
+        """Counts the rows that GridSpec.p_to_z transforms and the kick ramps built."""
+        grid = wp.default_grid()
+        mzi.stats_grid(wp.gaussian_init(wp.GaussianParams(), grid), 0.5, 0.3)  # grid caches
+        counts = {"rows": 0, "ramps": 0}
+        p_to_z, exp_ramp = wp.GridSpec.p_to_z, wp.GridSpec._exp_ramp
+
+        def counting_p_to_z(self, phi, out=None):
+            counts["rows"] += len(phi) if phi.ndim == 2 else 1
+            return p_to_z(self, phi, out)
+
+        def counting_exp_ramp(self, coeff):
+            counts["ramps"] += 1
+            return exp_ramp(self, coeff)
+
+        monkeypatch.setattr(wp.GridSpec, "p_to_z", counting_p_to_z)
+        monkeypatch.setattr(wp.GridSpec, "_exp_ramp", counting_exp_ramp)
+        return counts
+
+    @pytest.mark.parametrize("t_steps, delta_steps, blocks", [(6, 6, 1), (13, 4, 3)])
+    def test_a_surface_transforms_each_t_row_once(self, transforms, t_steps, delta_steps,
+                                                   blocks):
+        assert self.height(wp.default_grid()) == 6
+        grid_stats(*_surface((0.1, 0.95, t_steps), (0.05, 2.0, delta_steps)), 0.2,
+                   wp.default_grid())
+        assert transforms["rows"] == t_steps  # not one a cell
+        assert 0 < transforms["ramps"] <= blocks * delta_steps
+
+    def test_cells_of_distinct_t_transform_a_row_each(self, transforms):
+        samples = np.random.default_rng(11).uniform((0.05, 0.0, 0.0), (0.95, 2.0, 2.0 * np.pi),
+                                                    size=(80, 3))
+        grid_stats(*samples.T, wp.default_grid())
+        assert transforms == {"rows": 80, "ramps": 80}
+
     def test_stack_arrays_are_bounded_and_do_not_outlive_the_call(self):
         grid = wp.default_grid(4096)
         gauss = wp.gaussian_init(wp.GaussianParams(), grid)
