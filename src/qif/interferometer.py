@@ -107,7 +107,7 @@ def _mode_field(mode: str) -> str:
 
 def kick(state: TwoPathState, mode: str, delta, out=None, image=None) -> TwoPathState:
     """Impulsive momentum kick of one mode: Phi(p) -> Phi(p - delta), into out if given;
-    image is the mode's wavepacket.position_image if it is made already."""
+    image is the mode's position-space image (GridSpec.p_to_z) if it is made already."""
     amp = wp.shift(state.grid, getattr(state, _mode_field(mode)), delta, out, image)
     return _with_mode(state, mode, amp)
 
@@ -249,43 +249,41 @@ def stats_grid(input_wf: MomentumWavefunction, t, delta, alpha=0.0) -> PortStats
     Cells run in stacks of rows, a step being one ufunc or FFT call a stack, with run_mzi's
     operands in its order, so each row rounds as its cell; numpy's FFT of a stack costs
     about 30% less a row at n = 4096.  A row holds cells of one t (see _blocks), so a block
-    of rows splits once and, if it has several steps, takes arm B to position space once
-    (wavepacket.position_image): each step is then its cells' kicks from that image, whose
-    cells share a delta on a surface and so one kick ramp.  Two traps: numpy's AVX-512
-    complex multiply is not operand-symmetric, and x *= e computes x * e, so phase keeps e
-    on the left; and a stack array is past glibc's 128 KiB mmap threshold, so the complex
-    work arrays are made once a call, in one allocation (made per stack, they cost 30
-    times the page faults and ran 11% slower; the image and the kick buffer made apart
-    cost 300 page faults a 6 x 6 sweep).  A block that refuses defers to a t-major
-    run_mzi loop: its first refusal is raised.
+    of rows with several steps takes arm B to position space once: each step splits again
+    and kicks its cells from that image; on a surface whose t axis fills the stack, a step's
+    cells share a delta and so one kick ramp.  Two traps: numpy's AVX-512 complex multiply
+    is not operand-symmetric, and x *= e computes x * e, so phase keeps e on the left; and a
+    stack array is past glibc's 128 KiB mmap threshold, so the complex work arrays are made
+    once a call, in one allocation (made per stack, they cost 30 times the page faults and
+    ran 11% slower; made apart, glibc trims the heap after each sweep call).  A block that
+    refuses defers to a t-major run_mzi loop: its first refusal is raised.
     """
     grid = input_wf.grid
     t, delta, alpha = np.broadcast_arrays(t, delta, alpha)
     stats = np.empty((4, t.size))
     height = max(1, min(t.size, STACK_BYTES // (16 * grid.n_points)))
     blocks = _blocks(t, delta, height)
-    several = any(len(steps) > 1 for steps in blocks)  # then arm B and its image outlive a step
-    arm_a, arm_b, work, *held = np.empty((3 + 2 * several, height, grid.n_points), dtype=complex)
+    several = any(len(steps) > 1 for steps in blocks)  # then arm B's image outlives a step
+    arm_a, arm_b, work, *image = np.empty((3 + several, height, grid.n_points), dtype=complex)
     square = np.empty((height, grid.n_points))
-    try:  # only split and the kicks refuse
+    try:  # only the beam splitter and the kicks refuse
         for steps in blocks:
             rows = steps[0].size
             a, b, w, sq = (x[:rows] for x in (arm_a, arm_b, work, square))
             tk = t.flat[steps[0]][:, None]
-            split(input_wf, BeamSplitterCoeffs(tk), (a, b))
-            out, image = b, None  # a lone step kicks in place
-            if len(steps) > 1:
-                out, image = held[1][:rows], wp.position_image(grid, b, held[0][:rows])
+            bs = BeamSplitterCoeffs(tk)
+            split(input_wf, bs, (a, b))
+            z = grid.p_to_z(b, image[0][:rows]) if len(steps) > 1 else None
             for k, cells in enumerate(steps):
                 if cells.size < rows:  # a later step's live rows lead the block; one view
                     rows = cells.size  # each, as numpy is quicker when an operand is its output
-                    a, b, w, sq, out = (x[:rows] for x in (a, b, w, sq, out))
-                    image = (image[0][:rows], image[1][:rows])
-                if k:  # split's arm A again: the step before wrote over it
-                    np.multiply(np.asarray(tk[:rows], complex), input_wf.amplitudes, out=a)
+                    a, b, w, sq, z = (x[:rows] for x in (a, b, w, sq, z))
+                    bs = BeamSplitterCoeffs(tk[:rows])
+                if k:  # the step before wrote over both arms
+                    split(input_wf, bs, (a, b))
                 dk, ak = (x.flat[cells][:, None] for x in (delta, alpha))
-                state = apply_kick(TwoPathState(grid, a, b), dk, ak, out, image)
-                for port, raw in enumerate(recombine(state, (out, w, a))):
+                state = apply_kick(TwoPathState(grid, a, b), dk, ak, b, z)
+                for port, raw in enumerate(recombine(state, (b, w, a))):
                     stats[2 * port:2 * port + 2, cells] = port_moments(grid, raw, (a, sq))[:2]
     except QifError:
         for i in range(t.size):
@@ -299,18 +297,19 @@ def _blocks(t, delta, height):
     list of steps: the cells of its live rows, one a row, rows in order.
 
     A row's cells share a t, told apart by its bits (-0.0 is not 0.0), and lie in stable
-    delta order, its k-th cell in step k.  Distinct t fill the rows in stable delta order.
-    A repeated t gets as many rows as lets the stacks stay full and deals its cells over them
-    round-robin, so a surface's step shares one delta.  Rows go longest first, so the live
-    rows of a step lead its block.
+    delta order, its k-th cell in step k.  A repeated t gets as many rows as lets the stacks
+    stay full and deals its cells over them round-robin.  Rows go longest first, so the live
+    rows of a step lead its block, and rows of one length in the stable delta order of their
+    first cells: distinct t run as cells in stable delta order, and a step of a surface whose
+    t axis fills the stack shares one delta.
     """
     order = np.argsort(delta, axis=None, kind="stable")
     by_value = np.sort(t, axis=None)
-    if (by_value[1:] != by_value[:-1]).all():  # no t repeats: a step a block
-        return [[order[i:i + height]] for i in range(0, order.size, height)]
+    if (by_value[1:] != by_value[:-1]).all():  # no t repeats: the grouping's answer, without
+        return [[order[i:i + height]] for i in range(0, order.size, height)]  # its numpy calls
     keys = t.flat[order]
     keys = keys.view((np.void, keys.itemsize))
-    by_t = np.argsort(keys, kind="stable")
+    by_t = np.argsort(keys, kind="stable")  # by_t[i]: the delta rank of the i-th cell by t
     new_t = np.flatnonzero(keys[by_t[1:]] != keys[by_t[:-1]]) + 1
     order = order[by_t]  # a t's cells together
     sizes = np.diff(new_t, prepend=0, append=order.size)
@@ -323,8 +322,10 @@ def _blocks(t, delta, height):
     dealt = np.repeat(per, sizes)
     row, step = np.repeat(np.cumsum(per) - per, sizes) + k % dealt, k // dealt
     length = np.bincount(row)
+    first = np.empty_like(length)
+    first[row[step == 0]] = by_t[step == 0]
     place = np.empty_like(length)
-    place[np.argsort(-length, kind="stable")] = np.arange(length.size)
+    place[np.lexsort((first, -length))] = np.arange(length.size)
     block, slot = np.divmod(place[row], height)
     by_step = np.lexsort((slot, step, block))
     block, step = block[by_step], step[by_step]

@@ -242,16 +242,15 @@ def to_momentum(wf: PositionWavefunction) -> MomentumWavefunction:
     return MomentumWavefunction(wf.grid, wf.momentum)
 
 
-def check_kick(grid: GridSpec, rows, deltas, norms=None) -> None:
+def check_kick(grid: GridSpec, rows, deltas) -> None:
     """Refuse to shift each row of momentum amplitudes by its delta if the delta is nan, if
     |delta| reaches a quarter of the grid span, or if more than WRAP_TOLERANCE of the row's
-    norm would land past a grid edge and wrap, unless the row is dark.  norms, if given, are
-    the rows' sums of |amp|^2 as position_image returns them.  The quarter-span rule refuses
-    only kicks that would not wrap; it stays because the benchmark's aliasing probes (kicks
-    of 8-9.5 W) require exit 3."""
+    norm would land past a grid edge and wrap, unless the row is dark.  The quarter-span rule
+    refuses only kicks that would not wrap; it stays because the benchmark's aliasing probes
+    (kicks of 8-9.5 W) require exit 3."""
     guard = (grid.p_max - grid.p_min) / 4
     edges = {}  # landing edges per distinct delta
-    for i, (row, d) in enumerate(zip(rows, deltas)):
+    for row, d in zip(rows, deltas):
         if math.isnan(d):  # fails closed: nan compares false with any guard
             raise ParameterError(f"kick delta must be finite, got {d}")
         if not abs(d) < guard:
@@ -260,17 +259,10 @@ def check_kick(grid: GridSpec, rows, deltas, norms=None) -> None:
             edges[d] = (grid.p + d).searchsorted((grid.p_min, grid.p_max)).tolist()
         lo, hi = edges[d]
         wrapped = np.vdot(row[:lo], row[:lo]).real + np.vdot(row[hi:], row[hi:]).real
-        total = np.vdot(row, row).real if norms is None else norms[i]
+        total = np.vdot(row, row).real
         if wrapped > WRAP_TOLERANCE * total and total * grid.dp >= DARK_THRESHOLD:
             raise AliasingError(f"delta={d} moves {wrapped / total:.3g} of the norm "
                                 "past the grid edge")
-
-
-def position_image(grid: GridSpec, amp: np.ndarray, out=None):
-    """(p_to_z of amp into out, the sum of |amp|^2 of each row as check_kick takes it): what
-    shift computes of amp before its ramps, made once when the same rows take several kicks."""
-    rows = amp if amp.ndim == 2 else (amp,)
-    return grid.p_to_z(amp, out), [np.vdot(row, row).real for row in rows]
 
 
 def shift(grid: GridSpec, amp: np.ndarray, delta, out=None, image=None) -> np.ndarray:
@@ -280,7 +272,7 @@ def shift(grid: GridSpec, amp: np.ndarray, delta, out=None, image=None) -> np.nd
     band-limited content and works for arbitrary delta; check_kick refuses a wrap.  A shift
     by 0 returns amp itself, and a stack's row its row.  A stack of rows takes one delta
     for every row or a column delta, a kick per row; out (which may be amp) takes the result.
-    image, if given, is position_image(grid, amp), and the kick starts from it.
+    image, if given, is grid.p_to_z(amp), and the kick starts from it.
     """
     deltas, rows = np.ravel(delta).tolist(), amp if amp.ndim == 2 else (amp,)
     if len(deltas) != len(rows):
@@ -290,16 +282,16 @@ def shift(grid: GridSpec, amp: np.ndarray, delta, out=None, image=None) -> np.nd
         deltas *= len(rows)
     if not any(deltas):  # every kick is 0
         return amp
-    check_kick(grid, rows, deltas, None if image is None else image[1])
+    check_kick(grid, rows, deltas)
     kept = [(i, rows[i].copy()) for i, d in enumerate(deltas) if d == 0.0]
     if image is None:  # the kick's one new array unless out: later steps work in it
-        psi = grid.p_to_z(amp, out)
-        for row, d in zip(psi if psi.ndim == 2 else (psi,), deltas):
-            row *= grid.kick_ramp(d)
-    else:  # a row at a time, as numpy's loop for a broadcast ramp is slower
+        psi = image = grid.p_to_z(amp, out)
+    else:
         psi = np.empty_like(amp) if out is None else out
-        for row, source, d in zip(np.atleast_2d(psi), np.atleast_2d(image[0]), deltas):
-            np.multiply(source, grid.kick_ramp(d), out=row)
+    targets = list(psi) if psi.ndim == 2 else [psi]
+    sources = targets if image is psi else image if image.ndim == 2 else (image,)
+    for row, source, d in zip(targets, sources, deltas):  # one view a row, as numpy runs
+        np.multiply(source, grid.kick_ramp(d), out=row)  # two views of one row slower
     psi = grid.z_to_p(psi, psi)
     for i, row in kept:
         psi[i] = row

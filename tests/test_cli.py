@@ -442,12 +442,18 @@ class TestGridStats:
         assert all(column.shape == shape for column in got)
 
     # three cells in one stack of the narrow grid: cells 0 and 2 refuse, and cell 0,
-    # the first in t-major order, is the later one in delta order
+    # the first in t-major order, is the later one in delta order.  Then 4 t rows (two
+    # values, t = 1 dark in arm B) of 40 kicks: one block of two steps kicked from arm B's
+    # position image, where only the last kick column refuses, in the second step
     @pytest.mark.parametrize("t, delta, alpha, message", [
         ((0.6, 0.6, 0.7), (3.95, 0.1, 3.9), 0.0, "delta=3.95 moves"),
         ((1.5, 0.5, -0.5), (0.5, 0.2, 0.1), 0.0, "got 1.5"),
         (0.5, (0.5, 0.2, 0.1), (np.nan, 0.0, np.inf), "got nan"),
-    ], ids=["wrap", "t_range", "alpha"])
+        (np.c_[[1.0, 0.6, 0.6, 1.0]], np.r_[np.linspace(0.0, 2.0, 39), 3.95], 0.0,
+         "delta=3.95 moves"),
+        (np.c_[[1.0, 0.6, 0.6, 1.0]], np.r_[np.linspace(0.0, 2.0, 39), np.nan], 0.0,
+         "got nan"),
+    ], ids=["wrap", "t_range", "alpha", "later_step_wrap", "later_step_nan"])
     def test_in_stack_refusal_names_the_first_cell_in_t_major_order(self, t, delta, alpha,
                                                                      message):
         grid = wp.GridSpec(256, -8.0, 8.0)
